@@ -183,8 +183,10 @@ def reevaluate(
         for r in range(runs)
     ]
     if jobs > 1:
+        # About four chunks per worker: even shares without per-task overhead.
+        chunksize = max(1, len(tasks) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as executor:
-            flat = list(executor.map(_run_optimiser, tasks, chunksize=8))
+            flat = list(executor.map(_run_optimiser, tasks, chunksize=chunksize))
     else:
         flat = [_run_optimiser(task) for task in tasks]
     per_run = []

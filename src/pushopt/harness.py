@@ -3,9 +3,11 @@
 One evolved program is run as a local or swarm optimiser: every swarm member
 holds a copy of the program and its own interpreter state, proposes one
 search point per move, and receives feedback (improvement boolean and new
-error) through its stacks. Coordination between members goes through
-read-only snapshots taken at the start of each move, so results do not
-depend on the order members execute within an iteration.
+error) through its stacks. Members see each other's current and best points
+through read-only snapshots taken at the start of each move. The pbest index
+pushed to each member's integer stack is live, not snapshotted: a member that
+improves on the swarm best changes the index the members after it receive in
+the same move, so results can depend on the order members execute.
 """
 
 from __future__ import annotations
@@ -202,10 +204,11 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
     """
     config = swarm.config
     lower, upper = problem.bounds
-    currents = [m.point for m in swarm.members]
-    bests = [m.best for m in swarm.members]
+    ctx = SwarmContext(
+        [m.point for m in swarm.members], [m.best for m in swarm.members]
+    )
     for member in swarm.members:
-        ctx = SwarmContext(currents, bests, member.index)
+        ctx.self_index = member.index
         program = swarm.source.select(member.index, move)
         state = member.state
         state.integers.append(move)

@@ -126,10 +126,18 @@ def _eval_f12(fn, x):
     return float(d @ d)
 
 
+def _rotate_left(z):
+    # np.roll(z, -1) without its overhead: the same values in the same order.
+    v = np.empty_like(z)
+    v[:-1] = z[1:]
+    v[-1] = z[0]
+    return v
+
+
 def _eval_f13(fn, x):
     z = x - fn.shift + 1.0
     u = z
-    v = np.roll(z, -1)
+    v = _rotate_left(z)
     t = 100.0 * (u * u - v) ** 2 + (u - 1.0) ** 2
     return float(np.sum(t * t / 4000.0 - np.cos(t) + 1.0))
 
@@ -140,7 +148,7 @@ def _eval_f14(fn, x):
     if rotation is not None:
         z = rotation @ z
     u = z
-    v = np.roll(z, -1)
+    v = _rotate_left(z)
     s = u * u + v * v
     return float(np.sum(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2))
 
@@ -245,15 +253,17 @@ class Problem:
     def _is_identity(self) -> bool:
         return self.transform.is_identity()
 
+    @cached_property
+    def _flip_scale(self) -> np.ndarray:
+        return self.transform.flip * self.transform.scale
+
     def map_point(self, point: np.ndarray) -> np.ndarray:
         if self._is_identity:
             return point
         centre = (self.function.lower + self.function.upper) / 2.0
-        return (
-            self.transform.flip * self.transform.scale * (point - centre)
-            + centre
-            + self.transform.translation
-        )
+        # Evaluated in the order flip*scale*(point-centre) + centre + translation;
+        # folding it into one affine map a*x + b would change the rounding.
+        return self._flip_scale * (point - centre) + centre + self.transform.translation
 
     def evaluate(self, point: np.ndarray) -> float:
         if len(point) != self.dim:

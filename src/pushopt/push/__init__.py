@@ -1,6 +1,11 @@
 """A typed stack-program interpreter with a search-point vector extension."""
 
-from .interpreter import UnknownInstructionError, run_move, run_single_item
+from .interpreter import (
+    UnknownInstructionError,
+    instruction_errstate,
+    run_move,
+    run_single_item,
+)
 from .ops import (
     DEFAULT_INSTRUCTION_SET,
     ERC_MARKERS,
@@ -45,6 +50,7 @@ __all__ = [
     "SwarmContext",
     "UnknownInstructionError",
     "default_instruction_set",
+    "instruction_errstate",
     "load_program",
     "parse_program",
     "print_program",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .ops import REGISTRY, ExecGroup
 from .state import DEFAULT_EXECUTION_LIMIT, InterpreterState, SwarmContext
 
@@ -43,6 +45,20 @@ def _run_exec(state: InterpreterState, ctx) -> None:
             raise TypeError(f"cannot execute item of type {kind.__name__}")
 
 
+def instruction_errstate():
+    """The numpy floating-point error state that instructions run under.
+
+    Instructions detect overflow and invalid results by checking their
+    values, so numpy's warnings are silenced. ``run_move`` enters this state
+    once per move; code that calls ``REGISTRY[name](state, ctx)`` directly
+    should enter it too, for example around a whole loop of such calls::
+
+        with instruction_errstate():
+            REGISTRY["vector.+"](state, ctx)
+    """
+    return np.errstate(all="ignore")
+
+
 def run_single_item(state: InterpreterState, ctx, item) -> None:
     """Run one item to completion on a private exec stack.
 
@@ -69,7 +85,7 @@ def run_move(
     The exec stack is cleared and reloaded with the program items; execution
     proceeds until the exec stack empties or ``limit`` item executions have
     been counted (literals and group unpacks count). All other stacks
-    persist between moves.
+    persist between moves. Instructions run under ``instruction_errstate``.
     """
     if limit <= 0:
         raise ValueError("execution limit must be positive")
@@ -78,5 +94,6 @@ def run_move(
     state.steps_used = 0
     state.step_limit = limit
     state.usage = usage
-    _run_exec(state, ctx)
+    with instruction_errstate():
+        _run_exec(state, ctx)
     return state

@@ -12,6 +12,9 @@ Conventions shared by all instructions:
   is ``a OP b`` (so ``float.-`` computes second minus top).
 - Every instruction function returns True if it executed and False if it
   degraded to a no-op.
+- Instructions do not set numpy's floating-point error state themselves:
+  they run under ``interpreter.instruction_errstate``, which ``run_move``
+  enters once per move.
 """
 
 from __future__ import annotations
@@ -65,8 +68,20 @@ def _finite(x) -> bool:
     return math.isfinite(x)
 
 
+# Read-only zero vectors by length, for _vec_ok.
+_ZEROS: dict = {}
+
+
 def _vec_ok(v) -> bool:
-    return bool(np.isfinite(v).all())
+    # Same answer as np.isfinite(v).all(), at a fraction of the cost: 0 * x
+    # is nan exactly when x is inf or nan, and a sum of zeros is finite.
+    n = len(v)
+    zeros = _ZEROS.get(n)
+    if zeros is None:
+        zeros = np.zeros(n)
+        zeros.flags.writeable = False
+        _ZEROS[n] = zeros
+    return math.isfinite(v.dot(zeros))
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +663,7 @@ def _vector_pairwise(name, fn):
             return False
         b = vs[-1]
         a = vs[-2]
-        with np.errstate(all="ignore"):
-            r = fn(a, b)
+        r = fn(a, b)
         if not _vec_ok(r):
             return False
         vs.pop()
@@ -670,8 +684,7 @@ _vector_pairwise("vector./", lambda a, b: a / b)
 def _vector_scale(state, ctx):
     if not state.vectors or not state.floats:
         return False
-    with np.errstate(all="ignore"):
-        r = state.vectors[-1] * state.floats[-1]
+    r = state.vectors[-1] * state.floats[-1]
     if not _vec_ok(r):
         return False
     state.vectors.pop()
@@ -685,8 +698,7 @@ def _vector_dprod(state, ctx):
     vs = state.vectors
     if len(vs) < 2:
         return False
-    with np.errstate(all="ignore"):
-        r = float(vs[-2] @ vs[-1])
+    r = float(vs[-2] @ vs[-1])
     if not _finite(r):
         return False
     vs.pop()
@@ -700,8 +712,7 @@ def _vector_mag(state, ctx):
     vs = state.vectors
     if not vs:
         return False
-    with np.errstate(all="ignore"):
-        r = float(np.sqrt(vs[-1] @ vs[-1]))
+    r = float(np.sqrt(vs[-1] @ vs[-1]))
     if not _finite(r):
         return False
     vs.pop()
@@ -743,8 +754,7 @@ def _vector_between(state, ctx):
     t = state.floats[-1]
     b = vs[-1]
     a = vs[-2]
-    with np.errstate(all="ignore"):
-        r = a + t * (b - a)
+    r = a + t * (b - a)
     if not _vec_ok(r):
         return False
     state.floats.pop()
@@ -798,12 +808,6 @@ _vector_lookup("vector.current", "currents")
 _vector_lookup("vector.best", "bests")
 
 
-def _run_body(state, ctx, body) -> None:
-    from .interpreter import run_single_item
-
-    run_single_item(state, ctx, body)
-
-
 @instruction("vector.apply")
 def _vector_apply(state, ctx):
     # Run the next exec item once per component: the component is pushed to
@@ -812,17 +816,22 @@ def _vector_apply(state, ctx):
     # empty or never runs because the step limit was reached.
     if not state.vectors or not state.exec:
         return False
+    # Deferred: the interpreter module imports this one.
+    from .interpreter import run_single_item
+
     snapshot = state.stack_snapshot()
     body = state.exec.pop()
     v = state.vectors.pop()
-    r = np.empty_like(v)
-    for i in range(state.dim):
-        if state.steps_used >= state.step_limit:
-            r[i] = v[i]
-            continue
-        state.floats.append(float(v[i]))
-        _run_body(state, ctx, body)
-        r[i] = state.floats.pop() if state.floats else v[i]
+    floats = state.floats
+    out = []
+    for c in v.tolist():
+        if state.steps_used < state.step_limit:
+            floats.append(c)
+            run_single_item(state, ctx, body)
+            if floats:
+                c = floats.pop()
+        out.append(c)
+    r = np.array(out, dtype=v.dtype)
     if not _vec_ok(r):
         state.restore_snapshot(snapshot)
         return False
@@ -835,19 +844,23 @@ def _vector_zip(state, ctx):
     # As vector.apply, but over pairs of components of the two top vectors.
     if len(state.vectors) < 2 or not state.exec:
         return False
+    from .interpreter import run_single_item
+
     snapshot = state.stack_snapshot()
     body = state.exec.pop()
     b = state.vectors.pop()
     a = state.vectors.pop()
-    r = np.empty_like(a)
-    for i in range(state.dim):
-        if state.steps_used >= state.step_limit:
-            r[i] = a[i]
-            continue
-        state.floats.append(float(a[i]))
-        state.floats.append(float(b[i]))
-        _run_body(state, ctx, body)
-        r[i] = state.floats.pop() if state.floats else a[i]
+    floats = state.floats
+    out = []
+    for c, d in zip(a.tolist(), b.tolist()):
+        if state.steps_used < state.step_limit:
+            floats.append(c)
+            floats.append(d)
+            run_single_item(state, ctx, body)
+            if floats:
+                c = floats.pop()
+        out.append(c)
+    r = np.array(out, dtype=a.dtype)
     if not _vec_ok(r):
         state.restore_snapshot(snapshot)
         return False

@@ -30,6 +30,7 @@ from pushopt.push import (
     InterpreterState,
     Program,
     SwarmContext,
+    instruction_errstate,
     parse_program,
     print_program,
 )
@@ -114,24 +115,26 @@ def test_criterion_1_interpreter_conformance():
     names = sorted(REGISTRY)
     applications = 1_000_000
     noops = 0
-    for k in range(applications):
-        st, ctx = states[k & 31]
-        if (k & 255) == 0:
-            for stack in (st.floats, st.integers, st.booleans, st.vectors, st.exec):
-                del stack[:-8]
-            refill(st)
-        st.steps_used = 0
-        st.step_limit = 100
-        st.usage = None
-        name = names[int(rng.integers(len(names)))]
-        before = _snap(st)
-        applied = REGISTRY[name](st, ctx)
-        if not applied:
-            noops += 1
-            assert _stacks_equal(before, _snap(st)), name
-        for v in st.vectors:
-            assert len(v) == dim, name
-            assert np.isfinite(v).all(), name
+    # Direct instruction calls enter the error state run_move would.
+    with instruction_errstate():
+        for k in range(applications):
+            st, ctx = states[k & 31]
+            if (k & 255) == 0:
+                for stack in (st.floats, st.integers, st.booleans, st.vectors, st.exec):
+                    del stack[:-8]
+                refill(st)
+            st.steps_used = 0
+            st.step_limit = 100
+            st.usage = None
+            name = names[int(rng.integers(len(names)))]
+            before = _snap(st)
+            applied = REGISTRY[name](st, ctx)
+            if not applied:
+                noops += 1
+                assert _stacks_equal(before, _snap(st)), name
+            for v in st.vectors:
+                assert len(v) == dim, name
+                assert np.isfinite(v).all(), name
     elapsed = time.time() - started
     assert 0 < noops < applications
     assert elapsed < 120.0

@@ -1,23 +1,30 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from pushopt.push import (
     INT_LIMIT,
     REGISTRY,
     ExecGroup,
     SwarmContext,
+    instruction_errstate,
     parse_program,
     run_move,
 )
-from pushopt.push.ops import items_equal
+from pushopt.push.ops import _vec_ok, items_equal
 
 from conftest import fresh_state, solo_context
 
 
 def apply(name, state, ctx=None):
-    return REGISTRY[name](state, ctx)
+    # Direct instruction calls enter the error state run_move would.
+    with instruction_errstate():
+        return REGISTRY[name](state, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +463,71 @@ def test_vector_zip_empty_float_keeps_first_components():
     assert vecs(st) == [[1.0, 2.0]]
 
 
+@pytest.mark.parametrize(
+    "name, vectors, body",
+    [
+        ("vector.apply", 1, ExecGroup((5, "float.swap"))),
+        # The two pushed components sit above the inf, so zip needs a rot
+        # (not a swap) to pop it as a result component.
+        ("vector.zip", 2, ExecGroup((5, "float.rot"))),
+    ],
+)
+def test_vector_apply_and_zip_roll_back_non_finite_results(name, vectors, body):
+    # An objective registered with register_function may return inf, which
+    # the harness pushes as feedback; a body that moves it into the result
+    # makes the instruction refuse and restore every stack.
+    st = fresh_state(dim=3)
+    st.booleans.append(True)
+    st.integers.append(7)
+    st.floats.append(math.inf)
+    for k in range(vectors):
+        st.vectors.append(np.array([1.0, 2.0, 3.0]) + k)
+    st.exec.extend(["exec.noop", body])
+    st.step_limit = 100
+    before = st.stack_snapshot()
+    assert apply(name, st) is False
+    after = st.stack_snapshot()
+    assert after[0] == before[0]
+    assert after[1] == before[1]
+    assert after[2] == before[2]
+    assert len(after[3]) == len(before[3])
+    assert all(x is y for x, y in zip(after[3], before[3]))
+    assert after[4] == before[4]
+
+
+_SPECIAL_FLOATS = [
+    math.inf,
+    -math.inf,
+    math.nan,
+    sys.float_info.max,
+    -sys.float_info.max,
+    5e-324,
+    -5e-324,
+    sys.float_info.min,
+    -0.0,
+    0.0,
+]
+
+
+@given(
+    hst.sampled_from([1, 2, 10, 50]).flatmap(
+        lambda n: arrays(
+            np.float64,
+            n,
+            elements=hst.one_of(hst.floats(), hst.sampled_from(_SPECIAL_FLOATS)),
+        )
+    )
+)
+@example(np.array([math.inf]))
+@example(np.array([-math.inf, 1.0]))
+@example(np.array([math.nan] + [0.0] * 9))
+@example(np.full(50, sys.float_info.max))
+@example(np.array([-0.0, 5e-324]))
+def test_vector_finite_check_matches_isfinite(v):
+    with instruction_errstate():
+        assert _vec_ok(v) == bool(np.isfinite(v).all())
+
+
 # ---------------------------------------------------------------------------
 # Exec and input instructions
 # ---------------------------------------------------------------------------
@@ -584,7 +656,7 @@ def test_noop_purity_on_empty_stacks(name):
     st = fresh_state(dim=2, seed=1)
     ctx = solo_context(dim=2)
     before = st.stack_snapshot()
-    applied = REGISTRY[name](st, ctx)
+    applied = apply(name, st, ctx)
     if not applied:
         assert st.stack_snapshot() == before
     # instructions needing nothing may execute on empty stacks; all that is

@@ -94,6 +94,30 @@ def test_f14_rotation_hook():
     )
 
 
+def _roll_reference(fn, x):
+    # The F13/F14 formulas as first written, with np.roll for the neighbour.
+    if fn.id == "F13":
+        z = x - fn.shift + 1.0
+        v = np.roll(z, -1)
+        t = 100.0 * (z * z - v) ** 2 + (z - 1.0) ** 2
+        return float(np.sum(t * t / 4000.0 - np.cos(t) + 1.0))
+    z = x - fn.shift
+    v = np.roll(z, -1)
+    s = z * z + v * v
+    return float(np.sum(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2))
+
+
+@pytest.mark.parametrize("fid", ["F13", "F14"])
+@pytest.mark.parametrize("dim", [1, 2, 10, 50])
+def test_neighbour_functions_match_roll_reference_exactly(fid, dim):
+    fn = make_function(fid, dim, 3)
+    rng = stream(11, "roll", fid, dim)
+    points = [fn.shift, np.full(dim, fn.lower), np.full(dim, fn.upper)]
+    points += [rng.uniform(fn.lower, fn.upper, dim) for _ in range(20)]
+    for x in points:
+        assert fn.evaluate(x) == _roll_reference(fn, x)
+
+
 def test_dimension_mismatch_is_hard_error():
     fn = make_function("F1", 3, 1)
     with pytest.raises(ValueError):
@@ -199,6 +223,21 @@ def test_transform_is_reparameterization():
     for _ in range(50):
         x = rng.uniform(fn.lower, fn.upper, 4)
         assert rel_close(problem.evaluate(x), plain.evaluate(problem.map_point(x)))
+
+
+@pytest.mark.parametrize("fid", ALL_IDS)
+@pytest.mark.parametrize("dim", [1, 2, 10, 50])
+def test_map_point_is_bit_identical_to_the_transform_expression(fid, dim):
+    fn = make_function(fid, dim, 6)
+    rng = stream(8, "map", fid, dim)
+    centre = (fn.lower + fn.upper) / 2.0
+    for _ in range(5):
+        t = sample_transform(fn.bounds, dim, rng, optimum=fn.shift)
+        problem = Problem(fn, t)
+        for _ in range(5):
+            x = rng.uniform(fn.lower, fn.upper, dim)
+            expected = t.flip * t.scale * (x - centre) + centre + t.translation
+            assert problem.map_point(x).tobytes() == expected.tobytes()
 
 
 def test_identity_transform_is_identity_map():
