@@ -80,7 +80,7 @@ def simplify(
     config: RunConfig,
     repeats: int = 10,
     tolerance: float = 1e-6,
-) -> Program:
+) -> tuple[Program, float, float]:
     """Greedily drop items whose removal does not hurt fitness.
 
     Fitness is measured with paired seeds (identical instances and run seeds
@@ -89,22 +89,25 @@ def simplify(
     ``tolerance`` (relative) of the fitness of the input program; the loop
     repeats until no single removal is accepted, so the result is never
     longer than the input and never worse beyond the tolerance.
+
+    Returns ``(simplified, input_fitness, simplified_fitness)``.
     """
     baseline = fitness(program, family, repeats, config)
     threshold = baseline * (1.0 + tolerance)
-    current = program
+    current, current_fitness = program, baseline
     changed = True
     while changed:
         changed = False
         i = 0
         while i < len(current.items):
             candidate = Program(current.items[:i] + current.items[i + 1 :])
-            if fitness(candidate, family, repeats, config) <= threshold:
-                current = candidate
+            candidate_fitness = fitness(candidate, family, repeats, config)
+            if candidate_fitness <= threshold:
+                current, current_fitness = candidate, candidate_fitness
                 changed = True
             else:
                 i += 1
-    return current
+    return current, baseline, current_fitness
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +173,10 @@ def reevaluate(
         raise ValueError("no optimisers given")
     if not functions:
         raise ValueError("no functions given")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     names = tuple(name for name, _ in optimisers)
     problem_ids = tuple(fn.id for fn in functions)
     tasks = [

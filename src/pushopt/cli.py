@@ -19,7 +19,6 @@ from pathlib import Path
 from . import analysis, evolution, hybrid
 from .harness import (
     RunConfig,
-    fitness,
     format_value,
     repeated_runs,
     run_optimisation,
@@ -27,6 +26,7 @@ from .harness import (
     write_trajectory_jsonl,
 )
 from .problems import (
+    DEFAULT_TRANSFORM_RANGES,
     ProblemFamily,
     TransformRanges,
     make_function,
@@ -51,18 +51,17 @@ class CliError(Exception):
 # Parameter schemas: single source of truth for defaults and validation
 # ---------------------------------------------------------------------------
 
+# Keys shared by every command that selects a problem and runs a swarm.
+PROBLEM_DEFAULTS = {"function": None, "D": None, "problem_seed": 0}
+SWARM_DEFAULTS = {"swarm": 1, "moves": 1000, "execution_limit": 100, "seed": 0}
+
 EVOLVE_DEFAULTS = {
-    "function": None,  # required
-    "D": None,  # required
-    "seed": 0,
-    "problem_seed": 0,
-    "swarm": 1,
-    "moves": 1000,
+    **PROBLEM_DEFAULTS,  # function and D are required
+    **SWARM_DEFAULTS,
     "pop": 200,
     "gens": 50,
     "tournament": 5,
     "size_limit": 100,
-    "execution_limit": 100,
     "repeats": 10,
     "rates": {"crossover": 0.4, "mutation": 0.4, "reproduction": 0.2},
     "transforms": "random",
@@ -73,15 +72,10 @@ EVOLVE_DEFAULTS = {
 
 RUN_DEFAULTS = {
     "program": None,  # required (path or program text)
-    "function": None,
-    "D": None,
-    "problem_seed": 0,
+    **PROBLEM_DEFAULTS,
     "problem_file": None,
-    "swarm": 1,
-    "moves": 1000,
-    "execution_limit": 100,
+    **SWARM_DEFAULTS,
     "repeats": 1,
-    "seed": 0,
     "transforms": "identity",
     "trajectory": None,
 }
@@ -90,9 +84,42 @@ HYBRID_DEFAULTS = dict(RUN_DEFAULTS)
 del HYBRID_DEFAULTS["program"]
 HYBRID_DEFAULTS.update({"pool": None, "dir": None, "top": None, "mode": "per_move"})
 
+USAGE_DEFAULTS = {
+    "checkpoints": None,  # required: list of files or directories
+    "top": 20,
+    "mode": "static",
+    **PROBLEM_DEFAULTS,
+    **SWARM_DEFAULTS,
+    "moves": 100,
+}
+
+SIMPLIFY_DEFAULTS = {
+    "program": None,
+    **PROBLEM_DEFAULTS,
+    "problem_file": None,
+    **SWARM_DEFAULTS,
+    "moves": 100,
+    "repeats": 10,
+    "tolerance": 1e-6,
+    "transforms": "random",
+}
+
+REEVALUATE_DEFAULTS = {
+    "programs": [],
+    "pools": [],
+    "functions": None,  # required
+    "D": None,  # required
+    "problem_seed": 0,
+    "runs": 25,
+    **SWARM_DEFAULTS,
+    "jobs": 1,
+}
+
 
 def resolve_params(defaults: dict, given: dict, command: str) -> dict:
     """Overlay ``given`` on ``defaults``; unknown keys are hard errors."""
+    if not isinstance(given, dict):
+        raise CliError(f"{command} params must be a JSON object, not {type(given).__name__}")
     unknown = set(given) - set(defaults)
     if unknown:
         raise CliError(f"unknown {command} config keys: {', '.join(sorted(unknown))}")
@@ -100,6 +127,8 @@ def resolve_params(defaults: dict, given: dict, command: str) -> dict:
     for key, default in defaults.items():
         value = given.get(key, default)
         if isinstance(default, dict) and key in given:
+            if not isinstance(value, dict):
+                raise CliError(f"{command} config key {key} must be a JSON object")
             extra = set(value) - set(default)
             if extra:
                 raise CliError(f"unknown {command} config keys under {key}: {', '.join(sorted(extra))}")
@@ -128,7 +157,16 @@ def _problem_family(params: dict) -> ProblemFamily:
         )
     _require(params, ["function", "D"], "problem selection")
     function = make_function(params["function"], int(params["D"]), int(params["problem_seed"]))
-    return ProblemFamily(function, randomize=(params["transforms"] == "random"))
+    ranges = params.get("transform_ranges")
+    return ProblemFamily(
+        function,
+        randomize=(params["transforms"] == "random"),
+        ranges=DEFAULT_TRANSFORM_RANGES if ranges is None else TransformRanges(
+            translate_frac=float(ranges["translate_frac"]),
+            scale=tuple(ranges["scale"]),
+            flip_prob=float(ranges["flip_prob"]),
+        ),
+    )
 
 
 def _run_config(params: dict, record: bool) -> RunConfig:
@@ -150,8 +188,13 @@ def _load_program_arg(value) -> Program:
     raise CliError(f"program file not found: {value}")
 
 
-def _write_results_csv(path, report) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _repeat_and_write(runner, params: dict, out_dir: Path) -> None:
+    """Repeat ``runner(problem, config)`` as ``params`` ask; write
+    ``results.csv`` and, when one is named, the trajectory file."""
+    record = params["trajectory"] is not None
+    family = _problem_family(params)
+    report = repeated_runs(runner, family, int(params["repeats"]), _run_config(params, record))
+    with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["repeat", "pbest", "evaluations", "moves"])
         for r, result in enumerate(report.results):
@@ -159,14 +202,10 @@ def _write_results_csv(path, report) -> None:
                 [r, format_value(result.pbest), result.evaluations_used, result.moves_executed]
             )
         writer.writerow(["mean", format_value(report.mean), "", ""])
-
-
-def _write_trajectory(path, report, run_id) -> None:
-    runs = [(r, result) for r, result in enumerate(report.results)]
-    if str(path).endswith(".jsonl"):
-        write_trajectory_jsonl(path, runs, run_id=run_id)
-    else:
-        write_trajectory_csv(path, runs, run_id=run_id)
+    if record:
+        path = Path(params["trajectory"])
+        write = write_trajectory_jsonl if str(path).endswith(".jsonl") else write_trajectory_csv
+        write(path, list(enumerate(report.results)), run_id=int(params["seed"]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +214,9 @@ def _write_trajectory(path, report, run_id) -> None:
 
 
 def cmd_evolve(params: dict, out_dir: Path) -> None:
-    _require(params, ["function", "D"], "evolve")
+    """Run the evolutionary loop."""
+    family = _problem_family(params)
     rates = params["rates"]
-    ranges = params["transform_ranges"]
-    family = ProblemFamily(
-        make_function(params["function"], int(params["D"]), int(params["problem_seed"])),
-        randomize=(params["transforms"] == "random"),
-        ranges=TransformRanges(
-            translate_frac=float(ranges["translate_frac"]),
-            scale=tuple(ranges["scale"]),
-            flip_prob=float(ranges["flip_prob"]),
-        ),
-    )
     instruction_set = (
         InstructionSet(params["instructions"]) if params["instructions"] else DEFAULT_INSTRUCTION_SET
     )
@@ -199,11 +229,7 @@ def cmd_evolve(params: dict, out_dir: Path) -> None:
         mutation_rate=float(rates["mutation"]),
         reproduction_rate=float(rates["reproduction"]),
         repeats=int(params["repeats"]),
-        run=RunConfig(
-            swarm_size=int(params["swarm"]),
-            moves=int(params["moves"]),
-            execution_limit=int(params["execution_limit"]),
-        ),
+        run=_run_config(params, record=False),
         instruction_set=instruction_set,
         seed=int(params["seed"]),
     )
@@ -237,22 +263,18 @@ def cmd_evolve(params: dict, out_dir: Path) -> None:
 
 
 def cmd_run(params: dict, out_dir: Path) -> None:
+    """Run one program as an optimiser."""
     _require(params, ["program"], "run")
     program = _load_program_arg(params["program"])
-    family = _problem_family(params)
-    record = params["trajectory"] is not None
-    config = _run_config(params, record)
 
     def runner(problem, run_config):
         return run_optimisation(program, problem, run_config)
 
-    report = repeated_runs(runner, family, int(params["repeats"]), config)
-    _write_results_csv(out_dir / "results.csv", report)
-    if record:
-        _write_trajectory(Path(params["trajectory"]), report, int(params["seed"]))
+    _repeat_and_write(runner, params, out_dir)
 
 
 def cmd_hybrid(params: dict, out_dir: Path) -> None:
+    """Run a heterogeneous swarm over a pool."""
     if params.get("pool") and (params.get("dir") or params.get("top")):
         raise CliError("give either a pool manifest or a checkpoint dir with --top, not both")
     if params.get("pool"):
@@ -265,61 +287,12 @@ def cmd_hybrid(params: dict, out_dir: Path) -> None:
         pool = hybrid.build_pool(checkpoints, top_n=top)
     else:
         raise CliError("hybrid requires a pool manifest or a checkpoint dir")
-    family = _problem_family(params)
-    record = params["trajectory"] is not None
-    config = _run_config(params, record)
 
     def runner(problem, run_config):
         return hybrid.run_hybrid(pool, problem, run_config, mode=params["mode"])
 
-    report = repeated_runs(runner, family, int(params["repeats"]), config)
+    _repeat_and_write(runner, params, out_dir)
     hybrid.write_pool_manifest(pool, out_dir / "pool.json")
-    _write_results_csv(out_dir / "results.csv", report)
-    if record:
-        _write_trajectory(Path(params["trajectory"]), report, int(params["seed"]))
-
-
-USAGE_DEFAULTS = {
-    "checkpoints": None,  # required: list of files or directories
-    "top": 20,
-    "mode": "static",
-    "function": None,
-    "D": None,
-    "problem_seed": 0,
-    "swarm": 1,
-    "moves": 100,
-    "execution_limit": 100,
-    "seed": 0,
-}
-
-SIMPLIFY_DEFAULTS = {
-    "program": None,
-    "function": None,
-    "D": None,
-    "problem_seed": 0,
-    "problem_file": None,
-    "swarm": 1,
-    "moves": 100,
-    "execution_limit": 100,
-    "repeats": 10,
-    "seed": 0,
-    "tolerance": 1e-6,
-    "transforms": "random",
-}
-
-REEVALUATE_DEFAULTS = {
-    "programs": [],
-    "pools": [],
-    "functions": None,  # required
-    "D": None,  # required
-    "problem_seed": 0,
-    "runs": 25,
-    "swarm": 1,
-    "moves": 1000,
-    "execution_limit": 100,
-    "seed": 0,
-    "jobs": 1,
-}
 
 
 def _collect_checkpoints(entries) -> dict:
@@ -344,6 +317,7 @@ def _collect_checkpoints(entries) -> dict:
 
 
 def cmd_analyze_usage(params: dict, out_dir: Path) -> None:
+    """Instruction usage table."""
     _require(params, ["checkpoints"], "analyze usage")
     groups = _collect_checkpoints(params["checkpoints"])
     top = int(params["top"])
@@ -376,27 +350,24 @@ def cmd_analyze_usage(params: dict, out_dir: Path) -> None:
 
 
 def cmd_analyze_simplify(params: dict, out_dir: Path) -> None:
+    """Remove effect-free instructions."""
     _require(params, ["program"], "analyze simplify")
     program = _load_program_arg(params["program"])
     family = _problem_family(params)
     config = _run_config(params, record=False)
-    repeats = int(params["repeats"])
-    simplified = analysis.simplify(
-        program, family, config, repeats=repeats, tolerance=float(params["tolerance"])
+    simplified, before, after = analysis.simplify(
+        program, family, config, repeats=int(params["repeats"]), tolerance=float(params["tolerance"])
     )
     save_program(simplified, out_dir / "simplified.txt")
     with open(out_dir / "simplify.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["variant", "length", "fitness"])
-        writer.writerow(
-            ["input", len(program), format_value(fitness(program, family, repeats, config))]
-        )
-        writer.writerow(
-            ["simplified", len(simplified), format_value(fitness(simplified, family, repeats, config))]
-        )
+        writer.writerow(["input", len(program), format_value(before)])
+        writer.writerow(["simplified", len(simplified), format_value(after)])
 
 
 def cmd_analyze_reevaluate(params: dict, out_dir: Path) -> None:
+    """Error table over problems."""
     _require(params, ["functions", "D"], "analyze reevaluate")
     optimisers = []
     for entry in params["programs"]:
@@ -431,6 +402,8 @@ COMMANDS = {
 
 
 def execute(command: str, given: dict, out_dir) -> None:
+    if command not in COMMANDS:
+        raise CliError(f"unknown command: {command!r}")
     defaults, fn = COMMANDS[command]
     params = resolve_params(defaults, given, command)
     out_dir = Path(out_dir)
@@ -444,33 +417,37 @@ def execute(command: str, given: dict, out_dir) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_problem_flags(parser, transforms_default):
-    parser.add_argument("--function", help="benchmark function id (e.g. F9)")
-    parser.add_argument("--dim", type=int, dest="D", help="problem dimensionality")
-    parser.add_argument("--problem-seed", type=int, dest="problem_seed")
-    parser.add_argument("--problem", dest="problem_file", help="problem descriptor JSON file")
-    parser.add_argument(
-        "--transforms", choices=["random", "identity"], default=None,
-        help=f"instance transforms (default {transforms_default})",
-    )
+# Flag spelling and argparse settings of every key that has a flag. Each
+# command gets the flags of the keys its defaults table holds.
+FLAGS = {
+    "program": ("--program", {"required": True, "help": "program file (or inline text)"}),
+    "programs": ("--programs", {"nargs": "*", "help": "program files"}),
+    "pools": ("--pools", {"nargs": "*", "help": "pool manifest JSON files"}),
+    "checkpoints": (
+        "--checkpoints", {"nargs": "+", "required": True, "help": "checkpoint files or directories"}
+    ),
+    "pool": ("--pool", {"help": "pool manifest JSON"}),
+    "dir": ("--dir", {"help": "directory of checkpoint JSONL files"}),
+    "top": ("--top", {"type": int, "help": "keep the top-n programs or rows"}),
+    "mode": ("--mode", {"help": "mode"}),
+    "function": ("--function", {"help": "benchmark function id (e.g. F9)"}),
+    "functions": ("--functions", {"nargs": "+", "help": "benchmark function ids"}),
+    "D": ("--dim", {"type": int, "help": "problem dimensionality"}),
+    "problem_seed": ("--problem-seed", {"type": int, "help": "seed of the function instance"}),
+    "problem_file": ("--problem", {"help": "problem descriptor JSON file"}),
+    "transforms": ("--transforms", {"choices": ["random", "identity"], "help": "instance transforms"}),
+    "swarm": ("--swarm", {"type": int, "help": "swarm size"}),
+    "moves": ("--moves", {"type": int, "help": "moves per run"}),
+    "execution_limit": ("--execution-limit", {"type": int, "help": "executed items per move"}),
+    "repeats": ("--repeats", {"type": int, "help": "number of repeated runs"}),
+    "runs": ("--runs", {"type": int, "help": "runs per optimiser and function"}),
+    "seed": ("--seed", {"type": int, "help": "master seed"}),
+    "tolerance": ("--tolerance", {"type": float, "help": "relative fitness tolerance"}),
+    "trajectory": ("--trajectory", {"help": "write trajectory CSV to this path"}),
+    "jobs": ("--jobs", {"type": int, "help": "parallel worker processes"}),
+}
 
-
-def _add_run_flags(parser):
-    parser.add_argument("--swarm", type=int, help="swarm size")
-    parser.add_argument("--moves", type=int, help="moves per run")
-    parser.add_argument("--execution-limit", type=int, dest="execution_limit")
-    parser.add_argument("--repeats", type=int, help="number of repeated runs")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--trajectory", help="write trajectory CSV to this path")
-
-
-def _gather(args, keys) -> dict:
-    given = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            given[key] = value
-    return given
+MODES = {"hybrid": ["per_move", "per_member"], "analyze-usage": ["static", "dynamic"]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,63 +456,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evolve, run, hybridise and analyse stack-program optimisers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_evolve = sub.add_parser("evolve", help="run the evolutionary loop")
-    p_evolve.add_argument("--config", required=True, help="JSON config file")
-    p_evolve.add_argument("--seed", type=int, help="override the config seed")
-    p_evolve.add_argument("--jobs", type=int, help="parallel fitness workers")
-    p_evolve.add_argument("--out", required=True)
-
-    p_run = sub.add_parser("run", help="run one program as an optimiser")
-    p_run.add_argument("--program", required=True, help="program file (or inline text)")
-    _add_problem_flags(p_run, "identity")
-    _add_run_flags(p_run)
-    p_run.add_argument("--out", required=True)
-
-    p_hybrid = sub.add_parser("hybrid", help="run a heterogeneous swarm over a pool")
-    p_hybrid.add_argument("--pool", help="pool manifest JSON")
-    p_hybrid.add_argument("--dir", help="directory of checkpoint JSONL files")
-    p_hybrid.add_argument("--top", type=int, help="take the top-n programs from the checkpoints")
-    p_hybrid.add_argument("--mode", choices=["per_move", "per_member"])
-    _add_problem_flags(p_hybrid, "identity")
-    _add_run_flags(p_hybrid)
-    p_hybrid.add_argument("--out", required=True)
-
-    p_an = sub.add_parser("analyze", help="usage / simplify / reevaluate tooling")
-    an_sub = p_an.add_subparsers(dest="analyze_command", required=True)
-
-    p_usage = an_sub.add_parser("usage", help="instruction usage table")
-    p_usage.add_argument("--checkpoints", nargs="+", required=True)
-    p_usage.add_argument("--top", type=int)
-    p_usage.add_argument("--mode", choices=["static", "dynamic"])
-    p_usage.add_argument("--function")
-    p_usage.add_argument("--dim", type=int, dest="D")
-    p_usage.add_argument("--problem-seed", type=int, dest="problem_seed")
-    p_usage.add_argument("--seed", type=int)
-    p_usage.add_argument("--out", required=True)
-
-    p_simplify = an_sub.add_parser("simplify", help="remove effect-free instructions")
-    p_simplify.add_argument("--program", required=True)
-    _add_problem_flags(p_simplify, "random")
-    p_simplify.add_argument("--swarm", type=int)
-    p_simplify.add_argument("--moves", type=int)
-    p_simplify.add_argument("--repeats", type=int)
-    p_simplify.add_argument("--seed", type=int)
-    p_simplify.add_argument("--tolerance", type=float)
-    p_simplify.add_argument("--out", required=True)
-
-    p_reeval = an_sub.add_parser("reevaluate", help="error table over problems")
-    p_reeval.add_argument("--programs", nargs="*", default=[])
-    p_reeval.add_argument("--pools", nargs="*", default=[])
-    p_reeval.add_argument("--functions", nargs="+")
-    p_reeval.add_argument("--dim", type=int, dest="D")
-    p_reeval.add_argument("--problem-seed", type=int, dest="problem_seed")
-    p_reeval.add_argument("--runs", type=int)
-    p_reeval.add_argument("--swarm", type=int)
-    p_reeval.add_argument("--moves", type=int)
-    p_reeval.add_argument("--seed", type=int)
-    p_reeval.add_argument("--jobs", type=int, help="parallel re-evaluation workers")
-    p_reeval.add_argument("--out", required=True)
+    analyze = None
+    for name, (defaults, fn) in COMMANDS.items():
+        parent = sub
+        if name.startswith("analyze-"):
+            if analyze is None:
+                p_an = sub.add_parser("analyze", help="usage / simplify / reevaluate tooling")
+                analyze = p_an.add_subparsers(dest="analyze_command", required=True)
+            parent = analyze
+        p = parent.add_parser(name.removeprefix("analyze-"), help=fn.__doc__)
+        p.set_defaults(command_key=name)
+        if name == "evolve":
+            p.add_argument("--config", required=True, help="JSON config file; flags override it")
+        for key, default in defaults.items():
+            if key in FLAGS:
+                flag, settings = FLAGS[key]
+                settings = {**settings, "dest": key}
+                if key == "mode":
+                    settings["choices"] = MODES[name]
+                if default not in (None, []):
+                    settings["help"] += f" (default {default})"
+                p.add_argument(flag, **settings)
+        p.add_argument("--out", required=True)
 
     p_replay = sub.add_parser("replay", help="re-run a recorded command")
     p_replay.add_argument("--manifest", required=True)
@@ -544,67 +486,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_json_object(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        value = json.load(fh)
+    if not isinstance(value, dict):
+        raise CliError(f"{path} must hold a JSON object")
+    return value
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "replay":
-            with open(args.manifest, encoding="utf-8") as fh:
-                recorded = json.load(fh)
-            execute(recorded["command"], recorded["params"], args.out)
-        elif args.command == "evolve":
-            with open(args.config, encoding="utf-8") as fh:
-                given = json.load(fh)
-            if args.seed is not None:
-                given["seed"] = args.seed
-            if args.jobs is not None:
-                given["jobs"] = args.jobs
-            execute("evolve", given, args.out)
-        elif args.command == "run":
-            given = _gather(
-                args,
-                [
-                    "program", "function", "D", "problem_seed", "problem_file",
-                    "swarm", "moves", "execution_limit", "repeats", "seed",
-                    "transforms", "trajectory",
-                ],
-            )
-            execute("run", given, args.out)
-        elif args.command == "hybrid":
-            given = _gather(
-                args,
-                [
-                    "pool", "dir", "top", "mode", "function", "D", "problem_seed",
-                    "problem_file", "swarm", "moves", "execution_limit", "repeats",
-                    "seed", "transforms", "trajectory",
-                ],
-            )
-            execute("hybrid", given, args.out)
-        elif args.command == "analyze":
-            if args.analyze_command == "usage":
-                given = _gather(
-                    args,
-                    ["checkpoints", "top", "mode", "function", "D", "problem_seed", "seed"],
-                )
-                execute("analyze-usage", given, args.out)
-            elif args.analyze_command == "simplify":
-                given = _gather(
-                    args,
-                    [
-                        "program", "function", "D", "problem_seed", "problem_file",
-                        "swarm", "moves", "repeats", "seed", "tolerance", "transforms",
-                    ],
-                )
-                execute("analyze-simplify", given, args.out)
-            else:
-                given = _gather(
-                    args,
-                    [
-                        "programs", "pools", "functions", "D", "problem_seed",
-                        "runs", "swarm", "moves", "seed", "jobs",
-                    ],
-                )
-                execute("analyze-reevaluate", given, args.out)
+            recorded = _load_json_object(args.manifest)
+            execute(recorded.get("command"), recorded.get("params"), args.out)
+        else:
+            defaults, _ = COMMANDS[args.command_key]
+            given = {k: v for k, v in vars(args).items() if k in defaults and v is not None}
+            if args.command_key == "evolve":
+                given = {**_load_json_object(args.config), **given}
+            execute(args.command_key, given, args.out)
         return 0
     except (CliError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

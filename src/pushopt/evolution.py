@@ -47,6 +47,8 @@ class EvolutionConfig:
             raise ValueError(f"operator rates must sum to 1, got {total}")
         if self.population_size < 1:
             raise ValueError("population size must be >= 1")
+        if self.tournament_size < 1:
+            raise ValueError("tournament size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,8 @@ def evolve(
     independent of the worker count because every individual has its own
     pre-split random stream.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     iset = config.instruction_set
     population = [
         random_program(iset, config.size_limit, stream(config.seed, "initpop", i), config.settings)

@@ -374,9 +374,12 @@ def test_criterion_7_simplification_soundness():
         config = RunConfig(swarm_size=swarm_size, moves=moves, seed=71)
         repeats = 3
         before = fitness(program, family, repeats, config)
-        simplified = simplify(program, family, config, repeats=repeats, tolerance=tolerance)
+        simplified, reported_before, reported_after = simplify(
+            program, family, config, repeats=repeats, tolerance=tolerance
+        )
         after = fitness(simplified, family, repeats, config)
-        again = simplify(simplified, family, config, repeats=repeats, tolerance=tolerance)
+        assert (reported_before, reported_after) == (before, after)
+        again, _, _ = simplify(simplified, family, config, repeats=repeats, tolerance=tolerance)
         assert again == simplified  # idempotent under fixed seeds
         assert len(simplified) <= len(program)
         assert after <= before * (1.0 + tolerance)  # paired no-degradation

@@ -92,7 +92,7 @@ def _sphere_family():
 def test_simplify_removes_trailing_noop():
     config = RunConfig(swarm_size=1, moves=5, seed=17)
     program = parse_program("(0.0 vector.wrand exec.noop)")
-    simplified = simplify(program, _sphere_family(), config, repeats=2)
+    simplified, _, _ = simplify(program, _sphere_family(), config, repeats=2)
     assert "exec.noop" not in simplified.items
     assert len(simplified) < len(program)
 
@@ -102,8 +102,9 @@ def test_simplify_never_longer_never_worse():
     family = ProblemFamily(make_function("F9", 2, 6), randomize=True)
     program = parse_program("(vector.best 0.3 vector.wrand vector.+ exec.noop boolean.rand)")
     before = fitness(program, family, 3, config)
-    simplified = simplify(program, family, config, repeats=3)
+    simplified, reported_before, reported_after = simplify(program, family, config, repeats=3)
     after = fitness(simplified, family, 3, config)
+    assert (reported_before, reported_after) == (before, after)
     assert len(simplified) <= len(program)
     assert after <= before * (1 + 1e-6)
 
@@ -112,9 +113,10 @@ def test_simplify_idempotent():
     config = RunConfig(swarm_size=1, moves=10, seed=29)
     family = ProblemFamily(make_function("F1", 2, 2), randomize=True)
     program = parse_program("(vector.best 0.5 vector.wrand vector.+ float.pop exec.noop)")
-    once = simplify(program, family, config, repeats=2)
-    twice = simplify(once, family, config, repeats=2)
+    once, _, once_fitness = simplify(program, family, config, repeats=2)
+    twice, again_fitness, twice_fitness = simplify(once, family, config, repeats=2)
     assert once == twice
+    assert once_fitness == again_fitness == twice_fitness
 
 
 # ---------------------------------------------------------------------------

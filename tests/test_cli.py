@@ -392,21 +392,226 @@ def test_evolve_rejects_unknown_instruction_name(tmp_path, capsys):
     assert "unknown instructions" in capsys.readouterr().err
 
 
-def test_replay_produces_identical_csvs(tmp_path):
-    out_a = tmp_path / "a"
-    code = run_cli(
-        "run",
-        "--program", "(0.5 vector.wrand vector.best vector.+)",
-        "--function", "F9",
-        "--dim", "2",
-        "--moves", "40",
-        "--repeats", "3",
-        "--seed", "9",
-        "--transforms", "random",
-        "--out", str(out_a),
+def _golden_cases(tmp_path):
+    """One argv per command and the ``params`` its manifest must record."""
+    checkpoints = _write_checkpoints(tmp_path)
+    config = write_json(
+        tmp_path / "config.json",
+        {"function": "F1", "D": 2, "pop": 4, "gens": 0, "repeats": 1, "moves": 5,
+         "seed": 2, "jobs": 2, "rates": {"crossover": 0.5, "mutation": 0.3, "reproduction": 0.2}},
     )
-    assert code == 0
-    out_b = tmp_path / "b"
-    assert run_cli("replay", "--manifest", str(out_a / "manifest.json"), "--out", str(out_b)) == 0
-    assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
-    assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
+    program = tmp_path / "origin.txt"
+    program.write_text("(0.0 vector.wrand)\n")
+    trajectory = str(tmp_path / "trajectory.csv")
+    return {
+        "evolve": (
+            ["evolve", "--config", config, "--seed", "7", "--jobs", "1"],
+            {
+                "function": "F1", "D": 2, "seed": 7, "problem_seed": 0, "swarm": 1,
+                "moves": 5, "pop": 4, "gens": 0, "tournament": 5, "size_limit": 100,
+                "execution_limit": 100, "repeats": 1,
+                "rates": {"crossover": 0.5, "mutation": 0.3, "reproduction": 0.2},
+                "transforms": "random",
+                "transform_ranges": {"translate_frac": 0.5, "scale": [0.5, 2.0], "flip_prob": 0.5},
+                "instructions": None, "jobs": 1,
+            },
+        ),
+        "run": (
+            ["run", "--program", "(0.0 vector.wrand)", "--function", "F1", "--dim", "2",
+             "--problem-seed", "4", "--swarm", "2", "--moves", "5", "--execution-limit", "50",
+             "--repeats", "2", "--seed", "3", "--transforms", "random", "--trajectory", trajectory],
+            {
+                "program": "(0.0 vector.wrand)", "function": "F1", "D": 2, "problem_seed": 4,
+                "problem_file": None, "swarm": 2, "moves": 5, "execution_limit": 50,
+                "repeats": 2, "seed": 3, "transforms": "random", "trajectory": trajectory,
+            },
+        ),
+        "hybrid": (
+            ["hybrid", "--dir", str(checkpoints), "--top", "2", "--mode", "per_member",
+             "--function", "F9", "--dim", "2", "--moves", "5", "--seed", "5"],
+            {
+                "pool": None, "dir": str(checkpoints), "top": 2, "mode": "per_member",
+                "function": "F9", "D": 2, "problem_seed": 0, "problem_file": None, "swarm": 1,
+                "moves": 5, "execution_limit": 100, "repeats": 1, "seed": 5,
+                "transforms": "identity", "trajectory": None,
+            },
+        ),
+        "analyze-usage": (
+            ["analyze", "usage", "--checkpoints", str(checkpoints), "--top", "3",
+             "--mode", "dynamic", "--function", "F1", "--dim", "2", "--problem-seed", "1",
+             "--seed", "2"],
+            {
+                "checkpoints": [str(checkpoints)], "top": 3, "mode": "dynamic",
+                "function": "F1", "D": 2, "problem_seed": 1, "swarm": 1, "moves": 100,
+                "execution_limit": 100, "seed": 2,
+            },
+        ),
+        "analyze-simplify": (
+            ["analyze", "simplify", "--program", "(0.0 vector.wrand exec.noop)",
+             "--function", "F1", "--dim", "2", "--swarm", "1", "--moves", "5",
+             "--repeats", "2", "--seed", "3", "--tolerance", "0.001", "--transforms", "identity"],
+            {
+                "program": "(0.0 vector.wrand exec.noop)", "function": "F1", "D": 2,
+                "problem_seed": 0, "problem_file": None, "swarm": 1, "moves": 5,
+                "execution_limit": 100, "repeats": 2, "seed": 3, "tolerance": 0.001,
+                "transforms": "identity",
+            },
+        ),
+        "analyze-reevaluate": (
+            ["analyze", "reevaluate", "--programs", str(program), "--functions", "F1", "F9",
+             "--dim", "2", "--problem-seed", "1", "--runs", "2", "--swarm", "1",
+             "--moves", "5", "--seed", "4", "--jobs", "1"],
+            {
+                "programs": [str(program)], "pools": [], "functions": ["F1", "F9"], "D": 2,
+                "problem_seed": 1, "runs": 2, "swarm": 1, "moves": 5, "execution_limit": 100,
+                "seed": 4, "jobs": 1,
+            },
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["evolve", "run", "hybrid", "analyze-usage", "analyze-simplify", "analyze-reevaluate"],
+)
+def test_manifest_params_match_golden(tmp_path, command):
+    argv, expected = _golden_cases(tmp_path)[command]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest == {"command": command, "params": expected}
+
+
+def test_flags_for_config_only_keys_reach_the_manifest(tmp_path, tiny_evolve_config):
+    # Keys these commands accepted only through a config or manifest now have flags too.
+    directory = _write_checkpoints(tmp_path)
+    program = tmp_path / "origin.txt"
+    program.write_text("(0.0 vector.wrand)\n")
+    limit = ["--execution-limit", "50"]
+    cases = [
+        (
+            ["evolve", "--config", tiny_evolve_config, "--function", "F9", "--dim", "3",
+             "--problem-seed", "2", "--swarm", "2", "--moves", "5", "--repeats", "2",
+             "--transforms", "identity", *limit],
+            {"function": "F9", "D": 3, "problem_seed": 2, "swarm": 2, "moves": 5, "repeats": 2,
+             "transforms": "identity", "execution_limit": 50, "pop": 8, "seed": 1},
+        ),
+        (
+            ["analyze", "usage", "--checkpoints", str(directory), "--swarm", "2", "--moves", "7", *limit],
+            {"swarm": 2, "moves": 7, "execution_limit": 50},
+        ),
+        (
+            ["analyze", "simplify", "--program", "(0.0 vector.wrand)", "--function", "F1",
+             "--dim", "2", "--moves", "5", "--repeats", "1", *limit],
+            {"execution_limit": 50},
+        ),
+        (
+            ["analyze", "reevaluate", "--programs", str(program), "--functions", "F1",
+             "--dim", "2", "--runs", "1", "--moves", "5", *limit],
+            {"execution_limit": 50},
+        ),
+    ]
+    for i, (argv, expected) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert {key: params[key] for key in expected} == expected
+
+
+def test_replay_produces_identical_csvs(tmp_path):
+    directory = _write_checkpoints(tmp_path)
+    program = tmp_path / "origin.txt"
+    program.write_text("(0.0 vector.wrand)\n")
+    cases = [
+        [
+            "run",
+            "--program", "(0.5 vector.wrand vector.best vector.+)",
+            "--function", "F9",
+            "--dim", "2",
+            "--moves", "40",
+            "--repeats", "3",
+            "--seed", "9",
+            "--transforms", "random",
+        ],
+        [
+            "analyze", "usage",
+            "--checkpoints", str(directory),
+            "--mode", "dynamic",
+            "--function", "F9",
+            "--dim", "2",
+            "--top", "5",
+            "--seed", "8",
+        ],
+        [
+            "analyze", "simplify",
+            "--program", "(0.0 vector.wrand exec.noop exec.noop)",
+            "--function", "F1",
+            "--dim", "2",
+            "--moves", "10",
+            "--repeats", "2",
+            "--seed", "7",
+        ],
+        [
+            "analyze", "reevaluate",
+            "--programs", str(program),
+            "--functions", "F1", "F9",
+            "--dim", "2",
+            "--runs", "2",
+            "--moves", "10",
+            "--seed", "6",
+        ],
+    ]
+    for i, argv in enumerate(cases):
+        out_a = tmp_path / f"a{i}"
+        out_b = tmp_path / f"b{i}"
+        assert run_cli(*argv, "--out", str(out_a)) == 0
+        assert run_cli("replay", "--manifest", str(out_a / "manifest.json"), "--out", str(out_b)) == 0
+        files = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
+        assert len(files) >= 2  # manifest.json and at least one result file
+        for name in files:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), (argv[:2], name)
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("replay", {"command": "bogus", "params": {}}),
+        ("replay", {"params": {"program": "(exec.noop)"}}),
+        ("replay", {"command": "run"}),
+        ("replay", {"command": "run", "params": ["(exec.noop)"]}),
+        ("evolve", ["F1", 2]),
+        ("evolve", {"function": "F1", "D": 2, "rates": 5}),
+    ],
+    ids=["unknown-command", "no-command", "no-params", "params-list", "config-list", "rates-number"],
+)
+def test_bad_manifest_or_config_fails_cleanly(tmp_path, capsys, command, payload):
+    path = write_json(tmp_path / "input.json", payload)
+    flag = "--manifest" if command == "replay" else "--config"
+    assert run_cli(command, flag, path, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["analyze", "reevaluate", "--runs", "0"], None),
+        (["analyze", "reevaluate", "--jobs", "0"], None),
+        (["analyze", "reevaluate", "--jobs", "-3"], None),
+        (["evolve"], {"tournament": 0}),
+        (["evolve", "--jobs", "0"], {}),
+        (["evolve", "--jobs", "-3"], {}),
+    ],
+    ids=["reevaluate-runs-0", "reevaluate-jobs-0", "reevaluate-jobs-neg", "evolve-tournament-0",
+         "evolve-jobs-0", "evolve-jobs-neg"],
+)
+def test_out_of_range_count_fails_cleanly(tmp_path, capsys, argv, config):
+    if config is None:
+        program = tmp_path / "origin.txt"
+        program.write_text("(0.0 vector.wrand)\n")
+        argv = argv + ["--programs", str(program), "--functions", "F1", "--dim", "2", "--moves", "5"]
+    else:
+        base = {"function": "F1", "D": 2, "pop": 4, "gens": 1, "repeats": 1, "moves": 5}
+        argv = argv + ["--config", write_json(tmp_path / "config.json", {**base, **config})]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
