@@ -21,6 +21,13 @@ class UsageRow:
     rate: float
 
 
+def _check_usage_args(programs, top) -> None:
+    if not programs:
+        raise ValueError("no programs given")
+    if top is not None and top < 1:
+        raise ValueError("top must be >= 1")
+
+
 def _usage_rows(counts: dict, top: int = None) -> list:
     total = sum(counts.values())
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -35,8 +42,7 @@ def instruction_usage(programs, top: int = None) -> list:
     Literals are excluded; rates are normalised over all counted
     instructions (before any top-k truncation of the returned rows).
     """
-    if not programs:
-        raise ValueError("no programs given")
+    _check_usage_args(programs, top)
     counts = {}
     for program in programs:
         for item in program.items:
@@ -50,14 +56,11 @@ def dynamic_instruction_usage(
 ) -> list:
     """Ranked executed-instruction counts, measured by running each program
     once per family instance under ``config``."""
-    if not programs:
-        raise ValueError("no programs given")
+    _check_usage_args(programs, top)
     counts = {}
     for i, program in enumerate(programs):
         problem = family.instance(stream(config.seed, "usage", i))
         run_optimisation(program, problem, config, usage=counts)
-    if not counts:
-        return []
     return _usage_rows(counts, top)
 
 

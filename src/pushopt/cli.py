@@ -401,7 +401,9 @@ COMMANDS = {
 }
 
 
-def execute(command: str, given: dict, out_dir) -> None:
+def execute(command: str, given: dict, out_dir, replay: bool = False) -> None:
+    """Run ``command``, recorded in ``out_dir/manifest.json``. A replay writes
+    a trajectory under ``out_dir``, never over the original run's file."""
     if command not in COMMANDS:
         raise CliError(f"unknown command: {command!r}")
     defaults, fn = COMMANDS[command]
@@ -409,6 +411,8 @@ def execute(command: str, given: dict, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, command, params)
+    if replay and params.get("trajectory") is not None:
+        params = {**params, "trajectory": str(out_dir / Path(params["trajectory"]).name)}
     fn(params, out_dir)
 
 
@@ -499,7 +503,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "replay":
             recorded = _load_json_object(args.manifest)
-            execute(recorded.get("command"), recorded.get("params"), args.out)
+            execute(recorded.get("command"), recorded.get("params"), args.out, replay=True)
         else:
             defaults, _ = COMMANDS[args.command_key]
             given = {k: v for k, v in vars(args).items() if k in defaults and v is not None}

@@ -28,6 +28,7 @@ from .push import (
     Program,
     PushSettings,
     SwarmContext,
+    instruction_errstate,
     run_move,
 )
 from .rng import derive_seed, stream
@@ -188,7 +189,11 @@ def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) 
 
 
 def _in_bounds(point: np.ndarray, lower: float, upper: float) -> bool:
-    return bool(point.min() >= lower and point.max() <= upper)
+    # A nan component is a miss, as it is for point.min() >= lower.
+    for x in point.tolist():
+        if not lower <= x <= upper:
+            return False
+    return True
 
 
 def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
@@ -200,7 +205,8 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
     are evaluated (consuming budget) and answered with an improvement
     boolean and the new error; non-improving members are also reminded of
     their best point. Out-of-bounds proposals cost no evaluation and are
-    answered with false and an infeasible marker value.
+    answered with false and an infeasible marker value. The caller enters
+    ``instruction_errstate``, as ``run_with_source`` does once per run.
     """
     config = swarm.config
     lower, upper = problem.bounds
@@ -257,8 +263,9 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
 
 def run_with_source(source, problem: Problem, config: RunConfig, usage: dict = None) -> RunResult:
     swarm = init_swarm(source, problem, config, usage=usage)
-    for move in range(1, config.moves + 1):
-        step_swarm(swarm, problem, move)
+    with instruction_errstate():
+        for move in range(1, config.moves + 1):
+            step_swarm(swarm, problem, move)
     return RunResult(
         pbest=swarm.pbest,
         pbest_point=np.array(swarm.pbest_point),

@@ -250,20 +250,24 @@ class Problem:
         return self.function.bounds
 
     @cached_property
-    def _is_identity(self) -> bool:
-        return self.transform.is_identity()
-
-    @cached_property
-    def _flip_scale(self) -> np.ndarray:
-        return self.transform.flip * self.transform.scale
+    def _affine(self):
+        # (flip*scale, centre, translation), or None for the identity transform.
+        t = self.transform
+        if t.is_identity():
+            return None
+        return t.flip * t.scale, (self.function.lower + self.function.upper) / 2.0, t.translation
 
     def map_point(self, point: np.ndarray) -> np.ndarray:
-        if self._is_identity:
+        if self._affine is None:
             return point
-        centre = (self.function.lower + self.function.upper) / 2.0
-        # Evaluated in the order flip*scale*(point-centre) + centre + translation;
-        # folding it into one affine map a*x + b would change the rounding.
-        return self._flip_scale * (point - centre) + centre + self.transform.translation
+        flip_scale, centre, translation = self._affine
+        # flip*scale*(point-centre) + centre + translation, in that order on one
+        # temporary; folding it into one affine map a*x + b changes the rounding.
+        r = point - centre
+        r *= flip_scale
+        r += centre
+        r += translation
+        return r
 
     def evaluate(self, point: np.ndarray) -> float:
         if len(point) != self.dim:

@@ -13,45 +13,53 @@ class UnknownInstructionError(KeyError):
 
 
 def _run_exec(state: InterpreterState, ctx) -> None:
-    # Hot loop: stacks are bound locally (they are only ever mutated in
-    # place, so the aliases stay valid across instruction calls).
+    # Hot loop: stacks are only ever mutated in place, so aliases of their
+    # methods stay valid. The step count is synced with state.steps_used
+    # around instruction calls (vector.apply/zip nest on it) and on exit.
     ex = state.exec
+    pop = ex.pop
     registry = REGISTRY
-    booleans = state.booleans
-    integers = state.integers
-    floats = state.floats
+    push_boolean = state.booleans.append
+    push_integer = state.integers.append
+    push_float = state.floats.append
     usage = state.usage
     limit = state.step_limit
-    while ex and state.steps_used < limit:
-        item = ex.pop()
-        state.steps_used += 1
+    steps = state.steps_used
+    while ex and steps < limit:
+        item = pop()
+        steps += 1
         kind = type(item)
         if kind is str:
+            state.steps_used = steps
             fn = registry.get(item)
             if fn is None:
                 raise UnknownInstructionError(item)
             fn(state, ctx)
+            steps = state.steps_used
             if usage is not None:
                 usage[item] = usage.get(item, 0) + 1
-        elif kind is bool:
-            booleans.append(item)
-        elif kind is int:
-            integers.append(item)
         elif kind is float:
-            floats.append(item)
+            push_float(item)
+        elif kind is int:
+            push_integer(item)
+        elif kind is bool:
+            push_boolean(item)
         elif kind is ExecGroup:
             ex.extend(reversed(item.items))
         else:
+            state.steps_used = steps
             raise TypeError(f"cannot execute item of type {kind.__name__}")
+    state.steps_used = steps
 
 
 def instruction_errstate():
     """The numpy floating-point error state that instructions run under.
 
     Instructions detect overflow and invalid results by checking their
-    values, so numpy's warnings are silenced. ``run_move`` enters this state
-    once per move; code that calls ``REGISTRY[name](state, ctx)`` directly
-    should enter it too, for example around a whole loop of such calls::
+    values, so numpy's warnings are silenced. ``run_with_source`` enters this
+    state once per run; code that calls ``run_move``, ``step_swarm`` or
+    ``REGISTRY[name](state, ctx)`` directly should enter it too, for example
+    around a whole loop of such calls::
 
         with instruction_errstate():
             REGISTRY["vector.+"](state, ctx)
@@ -85,7 +93,8 @@ def run_move(
     The exec stack is cleared and reloaded with the program items; execution
     proceeds until the exec stack empties or ``limit`` item executions have
     been counted (literals and group unpacks count). All other stacks
-    persist between moves. Instructions run under ``instruction_errstate``.
+    persist between moves. The caller enters ``instruction_errstate``, as
+    ``run_with_source`` does once around all of its moves.
     """
     if limit <= 0:
         raise ValueError("execution limit must be positive")
@@ -94,6 +103,5 @@ def run_move(
     state.steps_used = 0
     state.step_limit = limit
     state.usage = usage
-    with instruction_errstate():
-        _run_exec(state, ctx)
+    _run_exec(state, ctx)
     return state

@@ -12,14 +12,15 @@ Conventions shared by all instructions:
   is ``a OP b`` (so ``float.-`` computes second minus top).
 - Every instruction function returns True if it executed and False if it
   degraded to a no-op.
-- Instructions do not set numpy's floating-point error state themselves:
-  they run under ``interpreter.instruction_errstate``, which ``run_move``
-  enters once per move.
+- Instructions run under ``interpreter.instruction_errstate``, which
+  ``run_with_source`` enters once per run; direct callers of ``run_move``,
+  ``step_swarm`` or ``REGISTRY[name]`` enter it themselves.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,6 @@ def items_equal(a, b) -> bool:
             items_equal(x, y) for x, y in zip(a.items, b.items)
         )
     return a == b
-
-
-def _finite(x) -> bool:
-    return math.isfinite(x)
 
 
 # Read-only zero vectors by length, for _vec_ok.
@@ -225,7 +222,14 @@ def _integer_rand(state, ctx):
 @instruction("float.rand")
 def _float_rand(state, ctx):
     lo, hi = state.settings.float_rand
-    state.floats.append(float(state.rng.uniform(lo, hi)))
+    # Generator.uniform(lo, hi) returns lo + (hi - lo) * random() from one
+    # draw; computing it here skips uniform's argument handling. A width
+    # numpy rejects (negative or not finite) still goes to numpy to raise.
+    width = hi - lo
+    if 0.0 <= width < math.inf:
+        state.floats.append(lo + width * state.rng.random())
+    else:
+        state.floats.append(float(state.rng.uniform(lo, hi)))
     return True
 
 
@@ -255,10 +259,10 @@ def _boolean_binary(name, fn):
     return op
 
 
-_boolean_binary("boolean.=", lambda a, b: a == b)
-_boolean_binary("boolean.and", lambda a, b: a and b)
-_boolean_binary("boolean.or", lambda a, b: a or b)
-_boolean_binary("boolean.xor", lambda a, b: a != b)
+_boolean_binary("boolean.=", operator.eq)
+_boolean_binary("boolean.and", operator.and_)
+_boolean_binary("boolean.or", operator.or_)
+_boolean_binary("boolean.xor", operator.ne)
 
 
 @instruction("boolean.not")
@@ -303,7 +307,7 @@ def _float_binary(name, fn):
             r = fn(a, b)
         except (ValueError, OverflowError, ZeroDivisionError):
             return False
-        if not _finite(r):
+        if not math.isfinite(r):
             return False
         fs.pop()
         fs.pop()
@@ -323,7 +327,7 @@ def _float_unary(name, fn):
             r = fn(fs[-1])
         except (ValueError, OverflowError, ZeroDivisionError):
             return False
-        if not _finite(r):
+        if not math.isfinite(r):
             return False
         fs[-1] = float(r)
         return True
@@ -345,19 +349,19 @@ def _float_compare(name, fn):
     return op
 
 
-_float_binary("float.+", lambda a, b: a + b)
-_float_binary("float.-", lambda a, b: a - b)
-_float_binary("float.*", lambda a, b: a * b)
-_float_binary("float./", lambda a, b: a / b)
+_float_binary("float.+", operator.add)
+_float_binary("float.-", operator.sub)
+_float_binary("float.*", operator.mul)
+_float_binary("float./", operator.truediv)
 _float_binary("float.%", math.fmod)
 _float_binary("float.pow", math.pow)
 _float_binary("float.max", max)
 _float_binary("float.min", min)
-_float_compare("float.<", lambda a, b: a < b)
-_float_compare("float.>", lambda a, b: a > b)
-_float_compare("float.=", lambda a, b: a == b)  # exact comparison by convention
+_float_compare("float.<", operator.lt)
+_float_compare("float.>", operator.gt)
+_float_compare("float.=", operator.eq)  # exact comparison by convention
 _float_unary("float.abs", abs)
-_float_unary("float.neg", lambda a: -a)
+_float_unary("float.neg", operator.neg)
 _float_unary("float.sin", math.sin)
 _float_unary("float.cos", math.cos)
 _float_unary("float.tan", math.tan)
@@ -436,22 +440,22 @@ def _int_compare(name, fn):
 
 def _int_pow(a, b):
     r = math.pow(a, b)
-    if not _finite(r):
+    if not math.isfinite(r):
         raise OverflowError
     return math.trunc(r)
 
 
-_int_binary("integer.+", lambda a, b: a + b)
-_int_binary("integer.-", lambda a, b: a - b)
-_int_binary("integer.*", lambda a, b: a * b)
+_int_binary("integer.+", operator.add)
+_int_binary("integer.-", operator.sub)
+_int_binary("integer.*", operator.mul)
 _int_binary("integer./", _trunc_div)
 _int_binary("integer.%", _trunc_mod)
 _int_binary("integer.pow", _int_pow)
 _int_binary("integer.max", max)
 _int_binary("integer.min", min)
-_int_compare("integer.<", lambda a, b: a < b)
-_int_compare("integer.>", lambda a, b: a > b)
-_int_compare("integer.=", lambda a, b: a == b)
+_int_compare("integer.<", operator.lt)
+_int_compare("integer.>", operator.gt)
+_int_compare("integer.=", operator.eq)
 
 
 @instruction("integer.abs")
@@ -674,10 +678,10 @@ def _vector_pairwise(name, fn):
     return op
 
 
-_vector_pairwise("vector.+", lambda a, b: a + b)
-_vector_pairwise("vector.-", lambda a, b: a - b)
-_vector_pairwise("vector.*", lambda a, b: a * b)
-_vector_pairwise("vector./", lambda a, b: a / b)
+_vector_pairwise("vector.+", operator.add)
+_vector_pairwise("vector.-", operator.sub)
+_vector_pairwise("vector.*", operator.mul)
+_vector_pairwise("vector./", operator.truediv)
 
 
 @instruction("vector.scale")
@@ -699,7 +703,7 @@ def _vector_dprod(state, ctx):
     if len(vs) < 2:
         return False
     r = float(vs[-2] @ vs[-1])
-    if not _finite(r):
+    if not math.isfinite(r):
         return False
     vs.pop()
     vs.pop()
@@ -712,8 +716,8 @@ def _vector_mag(state, ctx):
     vs = state.vectors
     if not vs:
         return False
-    r = float(np.sqrt(vs[-1] @ vs[-1]))
-    if not _finite(r):
+    r = math.sqrt(vs[-1] @ vs[-1])
+    if not math.isfinite(r):
         return False
     vs.pop()
     state.floats.append(r)
@@ -727,21 +731,21 @@ def _vector_dim(name, fn):
         if not state.vectors or not state.floats or not state.integers:
             return False
         index = state.integers[-1] % state.dim
-        r = state.vectors[-1].copy()
-        r[index] = fn(float(r[index]), state.floats[-1])
-        if not _finite(r[index]):
+        c = fn(state.vectors[-1].item(index), state.floats[-1])
+        if not math.isfinite(c):
             return False
+        r = state.vectors[-1].copy()
+        r[index] = c
         state.integers.pop()
         state.floats.pop()
-        state.vectors.pop()
-        state.vectors.append(r)
+        state.vectors[-1] = r
         return True
 
     return op
 
 
-_vector_dim("vector.dim+", lambda c, f: c + f)
-_vector_dim("vector.dim*", lambda c, f: c * f)
+_vector_dim("vector.dim+", operator.add)
+_vector_dim("vector.dim*", operator.mul)
 
 
 @instruction("vector.between")
@@ -766,11 +770,10 @@ def _vector_between(state, ctx):
 
 @instruction("vector.urand")
 def _vector_urand(state, ctx):
-    g = state.rng.normal(size=state.dim)
-    norm = float(np.sqrt(g @ g))
+    norm = 0.0
     while norm == 0.0:
         g = state.rng.normal(size=state.dim)
-        norm = float(np.sqrt(g @ g))
+        norm = math.sqrt(g @ g)
     state.vectors.append(g / norm)
     return True
 

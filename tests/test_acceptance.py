@@ -232,7 +232,8 @@ def test_criterion_4_feedback_contract():
     state = member.state
 
     value0 = member.value
-    step_swarm(swarm, problem, 1)
+    with instruction_errstate():
+        step_swarm(swarm, problem, 1)
     assert state.booleans[-1] is True  # improving move: true
     assert state.floats[-1] == value0 - 0.25  # ... plus the new error
     assert swarm.evaluations_used == 2
@@ -241,7 +242,8 @@ def test_criterion_4_feedback_contract():
     value1 = member.value
     best_before = member.best
     vector_depth = len(state.vectors)
-    step_swarm(swarm, problem, 2)
+    with instruction_errstate():
+        step_swarm(swarm, problem, 2)
     assert state.booleans[-1] is False  # non-improving: false
     assert state.floats[-1] == value1  # ... plus the new error
     assert len(state.vectors) == vector_depth + 1  # ... plus the best point
@@ -251,7 +253,8 @@ def test_criterion_4_feedback_contract():
     swarm.source = FixedSource(parse_program("(1000.0 0 vector.dim+)"))
     value2 = member.value
     bestval2 = member.bestval
-    step_swarm(swarm, problem, 3)
+    with instruction_errstate():
+        step_swarm(swarm, problem, 3)
     assert state.booleans[-1] is False  # out of bounds: false
     assert state.floats[-1] == INFEASIBLE  # ... plus the infeasible marker
     assert swarm.evaluations_used == 3  # no evaluation consumed

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from pushopt.analysis import (
@@ -8,9 +10,9 @@ from pushopt.analysis import (
     write_error_table_csv,
     write_usage_csv,
 )
-from pushopt.harness import RunConfig, fitness
-from pushopt.hybrid import Pool, PoolEntry
-from pushopt.problems import ProblemFamily, make_function
+from pushopt.harness import RunConfig, fitness, run_optimisation
+from pushopt.hybrid import Pool, PoolEntry, run_hybrid
+from pushopt.problems import Problem, ProblemFamily, make_function
 from pushopt.push import parse_program
 
 
@@ -217,3 +219,30 @@ def test_error_table_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "optimiser,runs,STUB-7,mean_rank"
     assert lines[1].startswith("p,2,7.0,")
+
+
+# Each of these makes numpy overflow or divide by zero on its first move.
+OVERFLOW_PROGRAMS = (
+    "(0.0 vector.wrand vector./)",
+    "(1e100 vector.scale vector.dup vector.* vector.dup vector.* vector.dup vector.*)",
+    "(1e300 vector.scale vector.mag)",
+)
+
+
+def test_overflowing_programs_run_without_warnings():
+    # Every entry point runs its moves under the instruction error state,
+    # which run_with_source enters once per run.
+    programs = [parse_program(text) for text in OVERFLOW_PROGRAMS]
+    pool = Pool(tuple(PoolEntry(p, 0.0, str(i)) for i, p in enumerate(programs)))
+    functions = [make_function("F1", 2, 0), make_function("F14", 10, 0)]
+    config = RunConfig(swarm_size=2, moves=5, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in functions:
+            for program in programs:
+                run_optimisation(program, Problem.plain(fn), config)
+                fitness(program, ProblemFamily(fn), 2, config)
+            run_hybrid(pool, Problem.plain(fn), config)
+        optimisers = [(str(i), p) for i, p in enumerate(programs)] + [("pool", pool)]
+        report = reevaluate(optimisers, functions, config, runs=2, jobs=1)
+    assert len(report.names) == 4

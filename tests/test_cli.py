@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -560,12 +562,33 @@ def test_replay_produces_identical_csvs(tmp_path):
             "--moves", "10",
             "--seed", "6",
         ],
+        [
+            "run",
+            "--program", "(0.5 vector.wrand vector.best vector.+)",
+            "--function", "F14",
+            "--dim", "3",
+            "--swarm", "2",
+            "--moves", "20",
+            "--repeats", "2",
+            "--seed", "4",
+            "--transforms", "random",
+            "--trajectory", str(tmp_path / "traj.csv"),
+        ],
     ]
     for i, argv in enumerate(cases):
         out_a = tmp_path / f"a{i}"
         out_b = tmp_path / f"b{i}"
         assert run_cli(*argv, "--out", str(out_a)) == 0
+        trajectory = Path(argv[argv.index("--trajectory") + 1]) if "--trajectory" in argv else None
+        if trajectory is not None:
+            # Keep the run's trajectory for the comparison below, then stand
+            # in for a later run writing the same path: the replay must write
+            # its own copy under its --out and leave this file alone.
+            shutil.copyfile(trajectory, out_a / trajectory.name)
+            trajectory.write_text("a later run\n")
         assert run_cli("replay", "--manifest", str(out_a / "manifest.json"), "--out", str(out_b)) == 0
+        if trajectory is not None:
+            assert trajectory.read_text() == "a later run\n"
         files = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
         assert files == sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
         assert len(files) >= 2  # manifest.json and at least one result file
@@ -590,6 +613,17 @@ def test_bad_manifest_or_config_fails_cleanly(tmp_path, capsys, command, payload
     flag = "--manifest" if command == "replay" else "--config"
     assert run_cli(command, flag, path, "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_usage_top_below_one_fails_cleanly(tmp_path, capsys, mode, top):
+    directory = _write_checkpoints(tmp_path)
+    argv = ["analyze", "usage", "--checkpoints", str(directory), "--mode", mode, "--top", top]
+    argv += ["--function", "F1", "--dim", "2", "--moves", "5"]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: top must be >= 1\n"
+    assert not (tmp_path / "out" / "usage.csv").exists()
 
 
 @pytest.mark.parametrize(

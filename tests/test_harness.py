@@ -1,10 +1,17 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from pushopt.harness import (
     INFEASIBLE,
     FixedSource,
     RunConfig,
+    _in_bounds,
     fitness,
     fitness_report,
     init_swarm,
@@ -13,7 +20,15 @@ from pushopt.harness import (
     write_trajectory_csv,
 )
 from pushopt.problems import Problem, ProblemFamily, make_function
-from pushopt.push import Program, parse_program
+from pushopt.push import Program, instruction_errstate, parse_program
+
+
+@pytest.fixture(autouse=True)
+def _errstate():
+    # step_swarm leaves the instruction error state to its caller, as
+    # run_with_source enters it once around all of its moves.
+    with instruction_errstate():
+        yield
 
 
 def stub_problem(fid, dim=2):
@@ -66,6 +81,42 @@ def test_init_points_are_distinct_and_in_bounds():
     assert len(set(points)) == 6
     for p in swarm.members:
         assert (p.point >= -1.0).all() and (p.point <= 1.0).all()
+
+
+# ---------------------------------------------------------------------------
+# Bounds check
+# ---------------------------------------------------------------------------
+
+_BOUNDS = [
+    (-100.0, 100.0), (-5.0, 5.0), (-math.pi, math.pi), (-3.0, 1.0), (-0.0, 0.0), (0.0, 5e-324),
+]
+_EDGE_FLOATS = [
+    math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, sys.float_info.min,
+    sys.float_info.max, -sys.float_info.max,
+]
+_EDGE_FLOATS += [
+    x for pair in _BOUNDS for b in pair
+    for x in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))
+]
+
+
+@given(
+    hst.sampled_from(_BOUNDS),
+    hst.sampled_from([1, 2, 10, 50]).flatmap(
+        lambda n: arrays(
+            np.float64, n, elements=hst.one_of(hst.floats(), hst.sampled_from(_EDGE_FLOATS))
+        )
+    ),
+)
+@example((-100.0, 100.0), np.array([-100.0, 100.0]))
+@example((-100.0, 100.0), np.array([math.nan]))
+@example((-5.0, 5.0), np.array([0.0] * 9 + [math.nan]))
+@example((-0.0, 0.0), np.array([-0.0, 0.0, -0.0]))
+@example((0.0, 5e-324), np.array([5e-324, -0.0]))
+@example((-3.0, 1.0), np.array([1.0] * 49 + [math.nextafter(1.0, 2.0)]))
+def test_in_bounds_matches_min_max(bounds, point):
+    lower, upper = bounds
+    assert _in_bounds(point, lower, upper) is bool(point.min() >= lower and point.max() <= upper)
 
 
 # ---------------------------------------------------------------------------

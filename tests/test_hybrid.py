@@ -13,7 +13,7 @@ from pushopt.hybrid import (
     write_pool_manifest,
 )
 from pushopt.problems import Problem, make_function
-from pushopt.push import parse_program
+from pushopt.push import instruction_errstate, parse_program
 from pushopt.rng import stream
 
 from conftest import EVOLVED_OPTIMISERS
@@ -92,8 +92,9 @@ def test_stack_state_persists_across_program_switches():
     from pushopt.hybrid import PoolSource as PS
 
     swarm = init_swarm(PS(pool, stream(config.seed, "select")), problem, config)
-    for move in range(1, 13):
-        step_swarm(swarm, problem, move)
+    with instruction_errstate():
+        for move in range(1, 13):
+            step_swarm(swarm, problem, move)
     # per move: three harness indices + one program literal, all unconsumed
     assert len(swarm.members[0].state.integers) == 12 * 4
 

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from pushopt.push import Program, parse_program, run_move
+from pushopt.push import Program, instruction_errstate, parse_program, run_move
 
 from conftest import fresh_state
+
+
+@pytest.fixture(autouse=True)
+def _errstate():
+    # run_move leaves the instruction error state to its caller, as
+    # run_with_source enters it once around all of its moves.
+    with instruction_errstate():
+        yield
 
 
 def test_empty_program_leaves_state_unchanged():
