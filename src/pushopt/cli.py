@@ -401,19 +401,37 @@ COMMANDS = {
 }
 
 
+# The files besides manifest.json that the commands taking a trajectory
+# write into their output directory; the trajectory may not name one.
+RESULT_FILES = {"run": ("results.csv",), "hybrid": ("results.csv", "pool.json")}
+
+
+def _check_trajectory(command: str, trajectory, out_dir: Path) -> None:
+    if trajectory is None:
+        return
+    target = Path(trajectory).resolve()
+    for name in ("manifest.json", *RESULT_FILES[command]):
+        if target == (out_dir / name).resolve():
+            raise CliError(f"trajectory {trajectory} would overwrite the result file {name}")
+
+
 def execute(command: str, given: dict, out_dir, replay: bool = False) -> None:
     """Run ``command``, recorded in ``out_dir/manifest.json``. A replay writes
-    a trajectory under ``out_dir``, never over the original run's file."""
+    a trajectory under ``out_dir``, never over the original run's file. A
+    trajectory path that names one of the command's result files fails
+    before anything is written."""
     if command not in COMMANDS:
         raise CliError(f"unknown command: {command!r}")
     defaults, fn = COMMANDS[command]
     params = resolve_params(defaults, given, command)
     out_dir = Path(out_dir)
+    run_params = params
+    if replay and params.get("trajectory") is not None:
+        run_params = {**params, "trajectory": str(out_dir / Path(params["trajectory"]).name)}
+    _check_trajectory(command, run_params.get("trajectory"), out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, command, params)
-    if replay and params.get("trajectory") is not None:
-        params = {**params, "trajectory": str(out_dir / Path(params["trajectory"]).name)}
-    fn(params, out_dir)
+    fn(run_params, out_dir)
 
 
 # ---------------------------------------------------------------------------

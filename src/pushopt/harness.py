@@ -40,11 +40,7 @@ INFEASIBLE = sys.float_info.max
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Budget and reproducibility settings for one optimisation run.
-
-    With ``bounds_as_vectors`` the input stack holds the per-axis lower and
-    upper bound vectors instead of the two scalar bounds of the hypercube.
-    """
+    """Budget and reproducibility settings for one optimisation run."""
 
     swarm_size: int = 1
     moves: int = 1000
@@ -52,7 +48,6 @@ class RunConfig:
     record_trajectory: bool = False
     seed: int = 0
     settings: PushSettings = DEFAULT_SETTINGS
-    bounds_as_vectors: bool = False
 
     def __post_init__(self):
         if self.swarm_size < 1:
@@ -145,10 +140,6 @@ def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) 
     if isinstance(source, Program):
         source = FixedSource(source)
     lower, upper = problem.bounds
-    if config.bounds_as_vectors:
-        inputs = (np.full(problem.dim, lower), np.full(problem.dim, upper))
-    else:
-        inputs = (lower, upper)
     init_rng = stream(config.seed, "init")
     members = []
     pbest = math.inf
@@ -160,7 +151,7 @@ def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) 
             dim=problem.dim,
             rng=stream(config.seed, "member", p),
             settings=config.settings,
-            inputs=inputs,
+            inputs=(lower, upper),
         )
         point = init_rng.uniform(lower, upper, problem.dim)
         value = problem.evaluate(point)

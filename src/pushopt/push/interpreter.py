@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from operator import length_hint
+from types import FunctionType
+
 import numpy as np
 
 from .ops import REGISTRY, ExecGroup
@@ -81,6 +84,38 @@ def run_single_item(state: InterpreterState, ctx, item) -> None:
         state.exec = saved
 
 
+def resolve_plan(items) -> tuple:
+    """The execution plan of a program's straight-line prefix.
+
+    Each instruction resolves to its registered function and each literal
+    stands for itself. The plan stops before the first item that needs the
+    exec stack to run exactly: an instruction registered with
+    ``touches_exec``, an unknown name or an item that is not a literal. It
+    also stops at a name registered to anything but a plain function, so
+    that every other step is a literal. A plan keeps the functions
+    registered when it was resolved.
+    """
+    plan = []
+    for item in items:
+        kind = type(item)
+        if kind is str:
+            fn = REGISTRY.get(item)
+            if type(fn) is not FunctionType or fn.touches_exec:
+                break
+            plan.append(fn)
+        elif kind is float or kind is int or kind is bool:
+            plan.append(item)
+        else:
+            break
+    return tuple(plan)
+
+
+def _count_usage(usage: dict, items) -> None:
+    for item in items:
+        if type(item) is str:
+            usage[item] = usage.get(item, 0) + 1
+
+
 def run_move(
     state: InterpreterState,
     program,
@@ -95,13 +130,50 @@ def run_move(
     been counted (literals and group unpacks count). All other stacks
     persist between moves. The caller enters ``instruction_errstate``, as
     ``run_with_source`` does once around all of its moves.
+
+    The items of ``program.plan`` run first, in program order and without
+    the exec stack, which none of them can see; the remaining items are then
+    loaded onto the exec stack for the general loop. Step counts, leftover
+    exec items and usage counts are those of running every item through the
+    loop, also when the limit cuts the plan short or an instruction raises.
     """
     if limit <= 0:
         raise ValueError("execution limit must be positive")
+    items = program.items
+    plan = program.plan
+    if len(plan) > limit:
+        plan = plan[:limit]
     state.exec.clear()
-    state.exec.extend(reversed(program.items))
-    state.steps_used = 0
     state.step_limit = limit
     state.usage = usage
-    _run_exec(state, ctx)
+    steps = iter(plan)
+    try:
+        # Instructions first: literals are rare in programs.
+        for step in steps:
+            kind = type(step)
+            if kind is FunctionType:
+                step(state, ctx)
+            elif kind is float:
+                state.floats.append(step)
+            elif kind is int:
+                state.integers.append(step)
+            else:
+                state.booleans.append(step)
+    except BaseException:
+        # The iterator has handed out every step up to the raising one. The
+        # loop counts that item as a step and leaves the items after it on
+        # the exec stack.
+        ran = len(plan) - length_hint(steps)
+        state.steps_used = ran
+        state.exec.extend(reversed(items[ran:]))
+        if usage is not None:
+            _count_usage(usage, items[: ran - 1])
+        raise
+    ran = len(plan)
+    state.steps_used = ran
+    if usage is not None:
+        _count_usage(usage, items[:ran])
+    if ran < len(items):
+        state.exec.extend(reversed(items[ran:]))
+        _run_exec(state, ctx)
     return state

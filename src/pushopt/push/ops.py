@@ -46,9 +46,18 @@ class ExecGroup:
     items: tuple
 
 
-def instruction(name):
+def instruction(name, touches_exec=False):
+    """Decorator registering an instruction under ``name``.
+
+    ``touches_exec`` marks an instruction that reads or changes the exec
+    stack, ``steps_used`` or ``step_limit``; the interpreter runs a
+    program's items without an exec stack only up to the first such
+    instruction.
+    """
+
     def register(fn):
         fn.push_name = name
+        fn.touches_exec = touches_exec
         REGISTRY[name] = fn
         return fn
 
@@ -195,15 +204,16 @@ def _make_shove(attr):
 
 
 for _name, _attr in _STACK_ATTRS.items():
-    instruction(f"{_name}.dup")(_make_dup(_attr))
-    instruction(f"{_name}.pop")(_make_pop(_attr))
-    instruction(f"{_name}.flush")(_make_flush(_attr))
-    instruction(f"{_name}.swap")(_make_swap(_attr))
-    instruction(f"{_name}.rot")(_make_rot(_attr))
-    instruction(f"{_name}.stackdepth")(_make_stackdepth(_attr))
-    instruction(f"{_name}.yank")(_make_yank(_attr, duplicate=False))
-    instruction(f"{_name}.yankdup")(_make_yank(_attr, duplicate=True))
-    instruction(f"{_name}.shove")(_make_shove(_attr))
+    _touches = _attr == "exec"
+    instruction(f"{_name}.dup", _touches)(_make_dup(_attr))
+    instruction(f"{_name}.pop", _touches)(_make_pop(_attr))
+    instruction(f"{_name}.flush", _touches)(_make_flush(_attr))
+    instruction(f"{_name}.swap", _touches)(_make_swap(_attr))
+    instruction(f"{_name}.rot", _touches)(_make_rot(_attr))
+    instruction(f"{_name}.stackdepth", _touches)(_make_stackdepth(_attr))
+    instruction(f"{_name}.yank", _touches)(_make_yank(_attr, duplicate=False))
+    instruction(f"{_name}.yankdup", _touches)(_make_yank(_attr, duplicate=True))
+    instruction(f"{_name}.shove", _touches)(_make_shove(_attr))
 
 
 @instruction("boolean.rand")
@@ -524,7 +534,7 @@ def _exec_noop(state, ctx):
     return True
 
 
-@instruction("exec.=")
+@instruction("exec.=", touches_exec=True)
 def _exec_eq(state, ctx):
     ex = state.exec
     if len(ex) < 2:
@@ -535,7 +545,7 @@ def _exec_eq(state, ctx):
     return True
 
 
-@instruction("exec.if")
+@instruction("exec.if", touches_exec=True)
 def _exec_if(state, ctx):
     if not state.booleans or len(state.exec) < 2:
         return False
@@ -546,7 +556,7 @@ def _exec_if(state, ctx):
     return True
 
 
-@instruction("exec.iflt")
+@instruction("exec.iflt", touches_exec=True)
 def _exec_iflt(state, ctx):
     # Branch on second < top of the float stack.
     if len(state.floats) < 2 or len(state.exec) < 2:
@@ -559,7 +569,7 @@ def _exec_iflt(state, ctx):
     return True
 
 
-@instruction("exec.do*range")
+@instruction("exec.do*range", touches_exec=True)
 def _exec_do_range(state, ctx):
     # Top integer is the destination index, second the current index. The
     # body (next exec item) runs once per index with the index pushed to the
@@ -579,7 +589,7 @@ def _exec_do_range(state, ctx):
     return True
 
 
-@instruction("exec.do*count")
+@instruction("exec.do*count", touches_exec=True)
 def _exec_do_count(state, ctx):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
@@ -590,7 +600,7 @@ def _exec_do_count(state, ctx):
     return True
 
 
-@instruction("exec.do*times")
+@instruction("exec.do*times", touches_exec=True)
 def _exec_do_times(state, ctx):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
@@ -811,7 +821,7 @@ _vector_lookup("vector.current", "currents")
 _vector_lookup("vector.best", "bests")
 
 
-@instruction("vector.apply")
+@instruction("vector.apply", touches_exec=True)
 def _vector_apply(state, ctx):
     # Run the next exec item once per component: the component is pushed to
     # the float stack before the body and the result popped afterwards. A
@@ -842,7 +852,7 @@ def _vector_apply(state, ctx):
     return True
 
 
-@instruction("vector.zip")
+@instruction("vector.zip", touches_exec=True)
 def _vector_zip(state, ctx):
     # As vector.apply, but over pairs of components of the two top vectors.
     if len(state.vectors) < 2 or not state.exec:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
+from .interpreter import resolve_plan
 from .ops import DEFAULT_INSTRUCTION_SET, InstructionSet
 
 DEFAULT_SIZE_LIMIT = 100
@@ -39,6 +41,17 @@ class Program:
 
     def __str__(self) -> str:
         return print_program(self)
+
+    def __reduce__(self):
+        # The cached plan holds instruction closures, which do not pickle;
+        # a copy resolves its own.
+        return (Program, (self.items,))
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The straight-line prefix ``run_move`` runs without the exec
+        stack (see ``interpreter.resolve_plan``); resolved on first use."""
+        return resolve_plan(self.items)
 
 
 def format_item(item) -> str:

@@ -615,6 +615,46 @@ def test_bad_manifest_or_config_fails_cleanly(tmp_path, capsys, command, payload
     assert capsys.readouterr().err.startswith("error: ")
 
 
+TRAJECTORY_CLASHES = [
+    ("run", "results.csv"),
+    ("run", "manifest.json"),
+    ("hybrid", "results.csv"),
+    ("hybrid", "manifest.json"),
+    ("hybrid", "pool.json"),
+]
+
+
+def _trajectory_argv(tmp_path, command):
+    if command == "run":
+        source = ["--program", "(0.0 vector.wrand)"]
+    else:
+        source = ["--dir", str(_write_checkpoints(tmp_path)), "--top", "1"]
+    return [command, *source, "--function", "F1", "--dim", "2", "--moves", "3"]
+
+
+@pytest.mark.parametrize("command, name", TRAJECTORY_CLASHES)
+def test_trajectory_over_a_result_file_fails_cleanly(tmp_path, capsys, monkeypatch, command, name):
+    monkeypatch.chdir(tmp_path)
+    argv = _trajectory_argv(tmp_path, command)
+    assert run_cli(*argv, "--trajectory", f"out/{name}", "--out", "out") == 1
+    assert capsys.readouterr().err.startswith(f"error: trajectory out/{name} would overwrite")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, name", TRAJECTORY_CLASHES)
+def test_replayed_trajectory_over_a_result_file_fails_cleanly(tmp_path, capsys, command, name):
+    # The recorded run wrote its trajectory outside its --out; a replay
+    # writes it under its own --out, where the name is a result file's.
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    argv = _trajectory_argv(tmp_path, command)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(*argv, "--trajectory", str(elsewhere / name), "--out", str(out_a)) == 0
+    assert run_cli("replay", "--manifest", str(out_a / "manifest.json"), "--out", str(out_b)) == 1
+    assert capsys.readouterr().err.startswith("error: trajectory ")
+    assert not out_b.exists()
+
+
 @pytest.mark.parametrize("mode", ["static", "dynamic"])
 @pytest.mark.parametrize("top", ["0", "-1"])
 def test_usage_top_below_one_fails_cleanly(tmp_path, capsys, mode, top):

@@ -332,20 +332,6 @@ def test_trajectory_jsonl_export(tmp_path):
     assert len(records[0]["point"]) == 2
 
 
-def test_bounds_as_vectors_inputs():
-    problem = stub_problem("STUB-7", dim=3)
-    config = RunConfig(swarm_size=1, moves=1, seed=4, bounds_as_vectors=True)
-    swarm = init_swarm(Program(()), problem, config)
-    lower_vec, upper_vec = swarm.members[0].state.inputs
-    assert lower_vec.tolist() == [-1.0, -1.0, -1.0]
-    assert upper_vec.tolist() == [1.0, 1.0, 1.0]
-    # input.inall then lands on the vector stack
-    swarm.source = FixedSource(parse_program("(vector.flush input.inall)"))
-    step_swarm(swarm, problem, 1)
-    vectors = swarm.members[0].state.vectors
-    assert vectors[0] is lower_vec and vectors[1] is upper_vec
-
-
 # ---------------------------------------------------------------------------
 # fitness
 # ---------------------------------------------------------------------------
