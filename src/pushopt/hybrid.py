@@ -45,6 +45,13 @@ class PoolSource:
     pool of one therefore reproduces the homogeneous harness exactly. The
     ``per_member`` mode instead assigns one persistent program per member at
     initialisation.
+
+    Draws are made a block at a time: one ``rng.integers(len(pool),
+    size=swarm_size)`` call per move, with the ``swarm_size`` given to
+    ``on_init`` (1 before it is called). numpy fills a block with the same
+    values as that many scalar draws and leaves the stream where they
+    would, so the n-th ``select`` returns the program of the n-th scalar
+    draw, whatever the swarm size.
     """
 
     def __init__(self, pool: Pool, rng, mode: str = "per_move"):
@@ -54,18 +61,27 @@ class PoolSource:
         self.rng = rng
         self.mode = mode
         self.assignments = None
+        self._block_size = 1
+        self._pending = iter(())
 
     def on_init(self, swarm_size: int) -> None:
+        self._block_size = swarm_size
         if self.mode == "per_member":
-            self.assignments = [self.draw() for _ in range(swarm_size)]
+            self.assignments = self._draw_block()
 
-    def draw(self) -> Program:
-        return self.pool.entries[int(self.rng.integers(len(self.pool)))].program
+    def _draw_block(self) -> list:
+        entries = self.pool.entries
+        picks = self.rng.integers(len(entries), size=self._block_size)
+        return [entries[i].program for i in picks.tolist()]
 
     def select(self, member: int, move: int) -> Program:
         if self.mode == "per_member":
             return self.assignments[member]
-        return self.draw()
+        program = next(self._pending, None)
+        if program is None:
+            self._pending = iter(self._draw_block())
+            program = next(self._pending)
+        return program
 
 
 def run_hybrid(pool: Pool, problem: Problem, config: RunConfig, mode: str = "per_move") -> RunResult:

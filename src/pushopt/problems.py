@@ -102,9 +102,6 @@ def _builder(fid, default_bounds):
             params = {"a": a, "b": b, "target": a @ np.sin(shift) + b @ np.cos(shift)}
         else:
             shift = _shift_within(lower, upper, dim, rng)
-        if fid == "F14":
-            # Unrotated by default; an orthogonal matrix may be supplied.
-            params = {"rotation": None}
         return BenchmarkFunction(fid, dim, float(lower), float(upper), shift, params)
 
     return build
@@ -143,14 +140,25 @@ def _eval_f13(fn, x):
 
 
 def _eval_f14(fn, x):
-    z = x - fn.shift
-    rotation = fn.params.get("rotation")
-    if rotation is not None:
-        z = rotation @ z
-    u = z
-    v = _rotate_left(z)
-    s = u * u + v * v
-    return float(np.sum(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2))
+    # sum(0.5 + (sin(sqrt(s))**2 - 0.5) / (1 + 0.001*s)**2) with
+    # s = z*z + roll(z, -1)**2, worked in place on two temporaries and with
+    # each z*z taken once. It rounds as that form does: floating-point + and
+    # * commute exactly, and numpy computes a**2 as a * a.
+    q = x - fn.shift
+    q *= q
+    s = _rotate_left(q)
+    s += q
+    np.multiply(s, 0.001, out=q)
+    q += 1.0
+    q *= q
+    np.sqrt(s, out=s)
+    np.sin(s, out=s)
+    s *= s
+    s -= 0.5
+    s /= q
+    s += 0.5
+    # The method skips np.sum's dispatch; both run the same add.reduce.
+    return float(s.sum())
 
 
 register_function("F1", _builder("F1", (-100.0, 100.0)), _eval_f1)
@@ -341,10 +349,26 @@ def problem_family_from_descriptor(raw: dict) -> ProblemFamily:
     if transform == "identity":
         return ProblemFamily(function, randomize=False)
     if isinstance(transform, dict):
-        explicit = Transform(
-            np.asarray(transform["translation"], dtype=float),
-            np.asarray(transform["scale"], dtype=float),
-            np.asarray(transform["flip"], dtype=float),
-        )
-        return ProblemFamily(function, fixed_transform=explicit)
+        return ProblemFamily(function, fixed_transform=_explicit_transform(transform, function.dim))
     raise ValueError(f"bad transform value: {transform!r}")
+
+
+def _explicit_transform(raw: dict, dim: int) -> Transform:
+    # Each list holds one finite value per axis; scales are positive and
+    # flips are +1 or -1.
+    keys = ("translation", "scale", "flip")
+    if set(raw) != set(keys):
+        raise ValueError(f"transform object needs exactly the keys {', '.join(keys)}")
+    axes = {}
+    for key in keys:
+        values = np.asarray(raw[key], dtype=float)
+        if values.shape != (dim,):
+            raise ValueError(f"transform {key} must list {dim} values, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"transform {key} must be finite")
+        axes[key] = values
+    if (axes["scale"] <= 0.0).any():
+        raise ValueError("transform scale must be > 0")
+    if not (np.abs(axes["flip"]) == 1.0).all():
+        raise ValueError("transform flip values must be 1 or -1")
+    return Transform(**axes)

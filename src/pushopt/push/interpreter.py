@@ -74,12 +74,42 @@ def run_single_item(state: InterpreterState, ctx, item) -> None:
     """Run one item to completion on a private exec stack.
 
     Used by instructions that take a code argument; shares the caller's step
-    budget so nested execution cannot exceed the move limit.
+    budget so nested execution cannot exceed the move limit. Steps, stacks,
+    usage counts and exceptions are those of running ``[item]`` through the
+    loop. A name registered to a plain function runs as one counted step
+    without the loop; one flagged ``touches_exec`` sees an empty private
+    exec stack, as it would there. Literals, groups, unknown names and other
+    registered callables run through the loop.
     """
+    fn = REGISTRY.get(item) if type(item) is str else None
+    if type(fn) is not FunctionType:
+        saved = state.exec
+        state.exec = [item]
+        try:
+            _run_exec(state, ctx)
+        finally:
+            state.exec = saved
+        return
+    steps = state.steps_used
+    if steps >= state.step_limit:
+        return
+    state.steps_used = steps + 1
+    usage = state.usage
+    if not fn.touches_exec:
+        fn(state, ctx)
+        if usage is not None:
+            usage[item] = usage.get(item, 0) + 1
+        return
     saved = state.exec
-    state.exec = [item]
+    state.exec = []
     try:
-        _run_exec(state, ctx)
+        fn(state, ctx)
+        if usage is not None:
+            usage[item] = usage.get(item, 0) + 1
+        # Whatever the instruction left on the private stack runs as it
+        # would in the loop.
+        if state.exec:
+            _run_exec(state, ctx)
     finally:
         state.exec = saved
 

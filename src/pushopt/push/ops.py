@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..rng import uniform_int
 from .state import InterpreterState
 
 INT_LIMIT = 2**63 - 1
@@ -225,7 +226,7 @@ def _boolean_rand(state, ctx):
 @instruction("integer.rand")
 def _integer_rand(state, ctx):
     lo, hi = state.settings.integer_rand
-    state.integers.append(int(state.rng.integers(lo, hi + 1)))
+    state.integers.append(uniform_int(state.rng, lo, hi + 1))
     return True
 
 
@@ -901,7 +902,9 @@ class InstructionSet:
     def __init__(self, names=None):
         if names is None:
             names = default_instruction_set()
-        names = tuple(names)
+        # str() turns numpy string names into the str items the interpreter
+        # runs.
+        names = tuple(str(n) for n in names)
         unknown = [n for n in names if n not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown instructions: {', '.join(unknown)}")

@@ -332,6 +332,24 @@ def test_run_with_problem_descriptor(tmp_path):
     assert (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "transform",
+    [
+        {"translation": [1.0], "scale": [2.0], "flip": [1.0]},
+        {"translation": [0.0] * 3, "scale": [0.0, 1.0, 1.0], "flip": [1.0] * 3},
+        {"translation": [0.0] * 3, "scale": [1.0] * 3, "flip": [1.0, 5.0, 1.0]},
+    ],
+    ids=["lists-shorter-than-D", "zero-scale", "flip-5"],
+)
+def test_run_with_bad_explicit_transform_fails_cleanly(tmp_path, capsys, transform):
+    descriptor = write_json(tmp_path / "problem.json", {"id": "F1", "D": 3, "transform": transform})
+    out = tmp_path / "out"
+    code = run_cli("run", "--program", "(0.0 vector.wrand)", "--problem", descriptor, "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: transform ")
+    assert not (out / "results.csv").exists()
+
+
 def test_run_jsonl_trajectory(tmp_path):
     out = tmp_path / "out"
     trajectory = tmp_path / "trajectory.jsonl"

@@ -11,7 +11,16 @@ from pushopt.evolution import (
 )
 from pushopt.harness import RunConfig
 from pushopt.problems import ProblemFamily, make_function
-from pushopt.push import DEFAULT_INSTRUCTION_SET, Program, parse_program, print_program
+from pushopt.push import (
+    DEFAULT_INSTRUCTION_SET,
+    InstructionSet,
+    InterpreterState,
+    Program,
+    instruction_errstate,
+    parse_program,
+    print_program,
+    run_move,
+)
 from pushopt.rng import stream
 
 ISET = DEFAULT_INSTRUCTION_SET
@@ -34,6 +43,23 @@ def test_random_program_lengths_and_validity():
     for item in random_program(ISET, 100, stream(1, "members")).items:
         if type(item) is str:
             assert item in ISET
+
+
+def test_numpy_instruction_names_give_runnable_genomes():
+    # Names drawn with numpy (np.str_) become the str items the interpreter
+    # runs and the printer prints.
+    iset = InstructionSet(np.array(["float.neg", "float.abs"]))
+    assert [type(name) for name in iset.names] == [str, str]
+    rng = stream(3, "numpy-names")
+    for _ in range(50):
+        program = random_program(iset, 10, rng)
+        assert parse_program(print_program(program)) == program
+        state = InterpreterState(dim=2, rng=np.random.default_rng(0))
+        state.floats.append(-1.5)
+        with instruction_errstate():
+            run_move(state, program)
+        assert state.steps_used == len(program)
+        assert abs(state.floats[0]) == 1.5
 
 
 def test_random_program_parses_after_print():

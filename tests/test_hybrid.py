@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from pushopt.harness import RunConfig, run_optimisation
+from pushopt import hybrid
+from pushopt.harness import RunConfig, run_optimisation, run_with_source
 from pushopt.hybrid import (
     Pool,
     PoolEntry,
@@ -158,3 +159,70 @@ def test_hybrid_budget_invariants():
     assert result.evaluations_used <= 5 * 41
     evaluated = [row.value for row in result.trajectory if row.in_bounds]
     assert result.pbest == min(evaluated)
+
+
+class ScalarDrawSource:
+    """The reference for ``PoolSource``: one scalar ``integers(len(pool))``
+    draw per per-move ``select``, and one per member at initialisation."""
+
+    def __init__(self, pool, rng, mode):
+        self.pool = pool
+        self.rng = rng
+        self.mode = mode
+
+    def draw(self):
+        return self.pool.entries[int(self.rng.integers(len(self.pool)))].program
+
+    def on_init(self, swarm_size):
+        if self.mode == "per_member":
+            self.assignments = [self.draw() for _ in range(swarm_size)]
+
+    def select(self, member, move):
+        if self.mode == "per_member":
+            return self.assignments[member]
+        return self.draw()
+
+
+def _rows(result):
+    return [
+        (row.move, row.member, row.point.tobytes(), row.value, row.in_bounds, row.pbest)
+        for row in result.trajectory
+    ]
+
+
+@pytest.mark.parametrize("mode", ["per_move", "per_member"])
+@pytest.mark.parametrize("pool_size", [1, 2, 5])
+@pytest.mark.parametrize("swarm_size", [1, 3, 10])
+def test_block_draws_match_scalar_draws(monkeypatch, mode, pool_size, swarm_size):
+    # run_hybrid's selections come a block per move; a source that draws
+    # them one at a time gives the same trajectory and leaves the selection
+    # stream in the same state.
+    streams = []
+
+    def recording_stream(*path):
+        streams.append(stream(*path))
+        return streams[-1]
+
+    monkeypatch.setattr(hybrid, "stream", recording_stream)
+    pool = Pool(five_pool().entries[:pool_size])
+    problem = Problem.plain(make_function("F14", 3, 4))
+    config = RunConfig(swarm_size=swarm_size, moves=25, seed=17, record_trajectory=True)
+    blocked = run_hybrid(pool, problem, config, mode)
+    (select_rng,) = streams
+    reference = ScalarDrawSource(pool, stream(config.seed, "select"), mode)
+    scalar = run_with_source(reference, problem, config)
+    assert _rows(blocked) == _rows(scalar)
+    assert blocked.pbest == scalar.pbest
+    assert select_rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_selects_follow_scalar_draws_across_partial_blocks():
+    # The n-th select is the n-th scalar draw, also when selects do not
+    # come a whole block at a time.
+    pool = five_pool()
+    source = PoolSource(pool, stream(8, "select"))
+    reference = ScalarDrawSource(pool, stream(8, "select"), "per_move")
+    got = [source.select(0, 0)]
+    source.on_init(3)
+    got += [source.select(k % 3, k) for k in range(7)]
+    assert got == [reference.select(0, 0) for _ in range(8)]

@@ -179,6 +179,29 @@ def test_rand_instructions_raise_generator_errors(name, field, lo, hi):
         apply(name, st)
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(-10, 10), (0, 2**31), (-(2**63), 2**63 - 1), (5, 5), (5, 4), (0.5, 3.0)]
+)
+def test_integer_rand_matches_generator_integers(lo, hi):
+    # integer.rand pushes int(Generator.integers(lo, hi + 1)) from the same
+    # stream, or raises its error.
+    settings = PushSettings(integer_rand=(lo, hi))
+    for seed in range(50):
+        ref = np.random.default_rng(seed)
+        st = InterpreterState(dim=2, rng=np.random.default_rng(seed), settings=settings)
+        try:
+            expected = [int(ref.integers(lo, hi + 1)) for _ in range(5)]
+        except Exception as exc:  # compared with the instruction's error
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                apply("integer.rand", st)
+            return
+        for _ in range(5):
+            assert apply("integer.rand", st) is True
+        assert [type(i) for i in st.integers] == [int] * 5
+        assert st.integers == expected
+        assert st.rng.bit_generator.state == ref.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Boolean / float / integer arithmetic
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from pushopt.push import (
     parse_program,
     run_move,
 )
-from pushopt.push.interpreter import _run_exec
+from pushopt.push.interpreter import _run_exec, run_single_item
 
 from conftest import EVOLVED_OPTIMISERS
 
@@ -349,3 +349,60 @@ def test_dynamic_usage_counts_match_the_loop_only_interpreter(limit):
     text = "".join(f"{row.instruction} {row.count}\n" for row in rows)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (len(rows), sum(row.count for row in rows), digest) == GENOME_USAGE[limit]
+
+
+def loop_single_item(state, ctx, item):
+    """``run_single_item`` as it was: the item through a nested loop."""
+    saved = state.exec
+    state.exec = [item]
+    try:
+        _run_exec(state, ctx)
+    finally:
+        state.exec = saved
+
+
+def _pushes_onto_exec(state, ctx):
+    state.exec.append("float.neg")
+    state.exec.append(ExecGroup((2.0, "exec.stackdepth")))
+    return True
+
+
+_pushes_onto_exec.touches_exec = True
+
+SINGLE_ITEM_BODIES = sorted(REGISTRY) + [
+    2.5, 3, True, ExecGroup(("float.neg", 1.5, "exec.dup", "float.abs")), ExecGroup(()),
+    "no.such", "test.partial", "test.pushes",
+]
+
+
+@pytest.mark.parametrize("body", SINGLE_ITEM_BODIES, ids=repr)
+def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
+    # Every registered instruction, a literal, groups, an unknown name, a
+    # registered callable that is not a plain function and a touches_exec
+    # instruction that leaves items on its private exec stack; on full and
+    # empty stacks, with steps to spare, with the last step and with none.
+    negate = partial(REGISTRY["float.neg"])
+    negate.touches_exec = False
+    monkeypatch.setitem(REGISTRY, "test.partial", negate)
+    monkeypatch.setitem(REGISTRY, "test.pushes", _pushes_onto_exec)
+    point = np.zeros(3)
+    ctx = SwarmContext([point], [point], 0)
+    bad = PushSettings(float_rand=(0.0, math.inf))
+    for full, settings_ in ((True, PushSettings()), (True, bad), (False, PushSettings())):
+        for steps_used, limit in ((0, 100), (4, 5), (5, 5), (6, 5)):
+            outcomes = []
+            for runner in (run_single_item, loop_single_item):
+                state = _full_state() if full else InterpreterState(dim=3, rng=np.random.default_rng(0))
+                state.settings = settings_
+                state.steps_used = steps_used
+                state.step_limit = limit
+                state.usage = {"float.neg": 1}
+                caller_exec = state.exec
+                try:
+                    runner(state, ctx, body)
+                    error = None
+                except Exception as exc:  # compared between the two runners
+                    error = (type(exc), str(exc))
+                assert state.exec is caller_exec
+                outcomes.append((_snapshot(state), state.usage, error))
+            assert outcomes[0] == outcomes[1], (full, settings_, steps_used, limit)

@@ -79,21 +79,6 @@ def test_f12_optimum_is_angle_vector():
     assert fn.evaluate(fn.shift) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_f14_rotation_hook():
-    from dataclasses import replace
-
-    fn = make_function("F14", 2, 9)
-    assert fn.params["rotation"] is None
-    # a 90-degree rotation permutes the pair terms but keeps the optimum
-    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
-    rotated = replace(fn, params={"rotation": rotation})
-    assert abs(rotated.evaluate(rotated.shift)) < 1e-12
-    x = fn.shift + np.array([1.0, 2.0])
-    assert rotated.evaluate(x) == pytest.approx(
-        fn.evaluate(fn.shift + rotation @ np.array([1.0, 2.0]))
-    )
-
-
 def _roll_reference(fn, x):
     # The F13/F14 formulas as first written, with np.roll for the neighbour.
     if fn.id == "F13":
@@ -113,7 +98,11 @@ def test_neighbour_functions_match_roll_reference_exactly(fid, dim):
     fn = make_function(fid, dim, 3)
     rng = stream(11, "roll", fid, dim)
     points = [fn.shift, np.full(dim, fn.lower), np.full(dim, fn.upper)]
-    points += [rng.uniform(fn.lower, fn.upper, dim) for _ in range(20)]
+    # Enough points to show a one-ulp change: dividing by 1000 for the factor
+    # 0.001 in F14 changes about one value in two hundred.
+    points += [rng.uniform(fn.lower, fn.upper, dim) for _ in range(1000)]
+    # Transformed points reach outside the bounds.
+    points += [fn.shift + rng.normal(size=dim) * spread for spread in (1e-6, 1e3, 1e6)]
     for x in points:
         assert fn.evaluate(x) == _roll_reference(fn, x)
 
@@ -295,6 +284,28 @@ def test_descriptor_explicit_transform():
     )
     problem = family.instance(stream(0, "z"))
     assert problem.transform.translation.tolist() == [1.0, -1.0]
+
+
+BAD_TRANSFORMS = {
+    "short-lists": {"translation": [1.0], "scale": [2.0], "flip": [1.0]},
+    "long-list": {"translation": [0.0] * 4, "scale": [1.0] * 3, "flip": [1.0] * 3},
+    "nested": {"translation": [[0.0]] * 3, "scale": [1.0] * 3, "flip": [1.0] * 3},
+    "scalar": {"translation": 0.0, "scale": [1.0] * 3, "flip": [1.0] * 3},
+    "nan": {"translation": [0.0, float("nan"), 0.0], "scale": [1.0] * 3, "flip": [1.0] * 3},
+    "inf": {"translation": [0.0] * 3, "scale": [1.0, float("inf"), 1.0], "flip": [1.0] * 3},
+    "zero-scale": {"translation": [0.0] * 3, "scale": [1.0, 0.0, 1.0], "flip": [1.0] * 3},
+    "negative-scale": {"translation": [0.0] * 3, "scale": [-1.0] * 3, "flip": [1.0] * 3},
+    "flip-5": {"translation": [0.0] * 3, "scale": [1.0] * 3, "flip": [1.0, 5.0, -1.0]},
+    "flip-0": {"translation": [0.0] * 3, "scale": [1.0] * 3, "flip": [0.0] * 3},
+    "missing-flip": {"translation": [0.0] * 3, "scale": [1.0] * 3},
+    "extra-key": {"translation": [0.0] * 3, "scale": [1.0] * 3, "flip": [1.0] * 3, "rotate": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TRANSFORMS))
+def test_descriptor_bad_explicit_transform_is_error(name):
+    with pytest.raises(ValueError, match="transform"):
+        problem_family_from_descriptor({"id": "F1", "D": 3, "transform": BAD_TRANSFORMS[name]})
 
 
 def test_descriptor_bounds_override():
