@@ -4,7 +4,8 @@ One evolved program is run as a local or swarm optimiser: every swarm member
 holds a copy of the program and its own interpreter state, proposes one
 search point per move, and receives feedback (improvement boolean and new
 error) through its stacks. Members see each other's current and best points
-through read-only snapshots taken at the start of each move. The pbest index
+as they were at the start of each move, through one ``SwarmContext`` per
+run that is brought up to date after every member has moved. The pbest index
 pushed to each member's integer stack is live, not snapshotted: a member that
 improves on the swarm best changes the index the members after it receive in
 the same move, so results can depend on the order members execute.
@@ -62,7 +63,11 @@ class RunConfig:
 
 @dataclass
 class SwarmMember:
-    """One search process: program state plus current and best points."""
+    """One search process: program state plus current and best points.
+
+    ``value`` is the error at the last point the member evaluated and
+    ``evaluated`` that point's ``tobytes()``.
+    """
 
     index: int
     state: InterpreterState
@@ -70,6 +75,7 @@ class SwarmMember:
     value: float
     best: np.ndarray
     bestval: float
+    evaluated: bytes
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,7 @@ class Swarm:
     evaluations_used: int
     source: object
     config: RunConfig
+    context: SwarmContext
     trajectory: list = None
     usage: dict = None
 
@@ -129,13 +136,27 @@ class FitnessReport:
     results: tuple
 
 
+def _evaluate(problem: Problem, point: np.ndarray) -> float:
+    # Feedback reaches the float stack, whose values instructions rely on
+    # being finite Python floats; anything else is a fault of the objective.
+    try:
+        value = float(problem.evaluate(point))
+    except FloatingPointError as exc:
+        raise ValueError(f"objective {problem.function.id} raised a floating-point error: {exc}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"objective {problem.function.id} returned a non-finite value: {value!r}")
+    return value
+
+
 def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) -> Swarm:
     """Initialise and evaluate the swarm (one evaluation per member).
 
     Each member starts at a random point within bounds with cleared stacks;
     its vector stack is seeded with the point, the float stack with its
     error, the boolean stack with true, and the input stack holds the search
-    bounds.
+    bounds. An objective value that is not finite, or a numpy floating-point
+    error raised by the objective, raises ``ValueError``, here and in
+    ``step_swarm``.
     """
     if isinstance(source, Program):
         source = FixedSource(source)
@@ -154,11 +175,11 @@ def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) 
             inputs=(lower, upper),
         )
         point = init_rng.uniform(lower, upper, problem.dim)
-        value = problem.evaluate(point)
+        value = _evaluate(problem, point)
         state.vectors.append(point)
         state.floats.append(value)
         state.booleans.append(True)
-        members.append(SwarmMember(p, state, point, value, point, value))
+        members.append(SwarmMember(p, state, point, value, point, value, point.tobytes()))
         if value < pbest:
             pbest = value
             pbestindex = p
@@ -174,6 +195,7 @@ def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) 
         evaluations_used=config.swarm_size,
         source=source,
         config=config,
+        context=SwarmContext([m.point for m in members], [m.best for m in members]),
         trajectory=trajectory,
         usage=usage,
     )
@@ -195,24 +217,34 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
     non-destructively from the top of the vector stack. In-bounds proposals
     are evaluated (consuming budget) and answered with an improvement
     boolean and the new error; non-improving members are also reminded of
-    their best point. Out-of-bounds proposals cost no evaluation and are
-    answered with false and an infeasible marker value. The caller enters
-    ``instruction_errstate``, as ``run_with_source`` does once per run.
+    their best point. A proposal with the same bytes as the last point the
+    member evaluated is charged as an evaluation but takes that point's
+    value without calling the objective, which must therefore be a
+    deterministic function of the point. Out-of-bounds proposals cost no
+    evaluation and are answered with false and an infeasible marker value.
+
+    The caller enters ``instruction_errstate``, as ``run_with_source`` does
+    once per run. Correctness, not only quiet, depends on it: vector
+    instructions detect non-finite results through the errors it raises.
     """
-    config = swarm.config
     lower, upper = problem.bounds
-    ctx = SwarmContext(
-        [m.point for m in swarm.members], [m.best for m in swarm.members]
-    )
-    for member in swarm.members:
-        ctx.self_index = member.index
-        program = swarm.source.select(member.index, move)
+    limit = swarm.config.execution_limit
+    usage = swarm.usage
+    select = swarm.source.select
+    ctx = swarm.context
+    members = swarm.members
+    trajectory = swarm.trajectory
+    for member in members:
+        index = member.index
+        ctx.self_index = index
+        program = select(index, move)
         state = member.state
-        state.integers.append(move)
-        state.integers.append(member.index)
-        state.integers.append(swarm.pbestindex)
+        integers = state.integers
+        integers.append(move)
+        integers.append(index)
+        integers.append(swarm.pbestindex)
         previous = member.value
-        run_move(state, program, ctx, config.execution_limit, usage=swarm.usage)
+        run_move(state, program, ctx, limit, usage=usage)
         if state.vectors:
             proposal = state.vectors[-1]
             member.point = proposal
@@ -224,7 +256,12 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
             proposal = member.point
             evaluable = False
         if evaluable:
-            value = problem.evaluate(proposal)
+            key = proposal.tobytes()
+            if key == member.evaluated:
+                value = previous
+            else:
+                value = _evaluate(problem, proposal)
+                member.evaluated = key
             swarm.evaluations_used += 1
             if value < member.bestval:
                 member.bestval = value
@@ -243,18 +280,25 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
             recorded = math.inf
         if member.bestval < swarm.pbest:
             swarm.pbest = member.bestval
-            swarm.pbestindex = member.index
+            swarm.pbestindex = index
             swarm.pbest_point = member.best
-        if swarm.trajectory is not None:
-            swarm.trajectory.append(
-                TrajectoryRow(move, member.index, proposal, recorded, evaluable, swarm.pbest)
+        if trajectory is not None:
+            trajectory.append(
+                TrajectoryRow(move, index, proposal, recorded, evaluable, swarm.pbest)
             )
+    # Later members of this move saw start-of-move points; the next move
+    # sees where every member ended this one.
+    currents = ctx.currents
+    bests = ctx.bests
+    for member in members:
+        currents[member.index] = member.point
+        bests[member.index] = member.best
     return swarm
 
 
 def run_with_source(source, problem: Problem, config: RunConfig, usage: dict = None) -> RunResult:
-    swarm = init_swarm(source, problem, config, usage=usage)
     with instruction_errstate():
+        swarm = init_swarm(source, problem, config, usage=usage)
         for move in range(1, config.moves + 1):
             step_swarm(swarm, problem, move)
     return RunResult(

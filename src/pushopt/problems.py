@@ -60,7 +60,12 @@ def register_function(fid: str, builder, evaluator) -> None:
 
     ``builder(dim, seed, bounds)`` must return a BenchmarkFunction with
     ``id == fid``; ``evaluator(function, point)`` must return the error at
-    ``point``.
+    ``point`` as a finite number, and must be a deterministic function of
+    the point. The harness relies on both: it reuses a member's last value
+    when the member proposes the same point again, results match across
+    ``jobs`` counts only if workers compute the same values, and a value
+    that is not finite, or a numpy floating-point error (evaluation runs
+    under ``instruction_errstate``), stops the run with ``ValueError``.
     """
     _BUILDERS[fid] = builder
     _EVALUATORS[fid] = evaluator
@@ -109,7 +114,7 @@ def _builder(fid, default_bounds):
 
 def _eval_f1(fn, x):
     z = x - fn.shift
-    return float(z @ z)
+    return float(z.dot(z))
 
 
 def _eval_f9(fn, x):
@@ -341,7 +346,7 @@ def problem_family_from_descriptor(raw: dict) -> ProblemFamily:
     bounds = raw.get("bounds_override")
     function = make_function(
         raw["id"], int(raw["D"]), int(raw.get("seed", 0)),
-        bounds=tuple(bounds) if bounds else None,
+        bounds=None if bounds is None else _bounds_override(bounds),
     )
     transform = raw.get("transform", "random")
     if transform == "random":
@@ -351,6 +356,24 @@ def problem_family_from_descriptor(raw: dict) -> ProblemFamily:
     if isinstance(transform, dict):
         return ProblemFamily(function, fixed_transform=_explicit_transform(transform, function.dim))
     raise ValueError(f"bad transform value: {transform!r}")
+
+
+def _bounds_override(raw) -> tuple:
+    # Two finite numbers, lower < upper, with a finite width: sampling and
+    # the instance transform both work with upper - lower.
+    try:
+        if not isinstance(raw, list) or len(raw) != 2 or any(type(b) not in (int, float) for b in raw):
+            raise ValueError
+        # float() overflows on an integer too large for a float.
+        lower, upper = float(raw[0]), float(raw[1])
+        if not (lower < upper and math.isfinite(upper - lower)):
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise ValueError(
+            f"bounds_override must be two finite numbers [lower, upper] with lower < upper "
+            f"and a finite upper - lower, got {raw!r}"
+        ) from None
+    return lower, upper
 
 
 def _explicit_transform(raw: dict, dim: int) -> Transform:

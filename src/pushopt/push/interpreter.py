@@ -58,16 +58,19 @@ def _run_exec(state: InterpreterState, ctx) -> None:
 def instruction_errstate():
     """The numpy floating-point error state that instructions run under.
 
-    Instructions detect overflow and invalid results by checking their
-    values, so numpy's warnings are silenced. ``run_with_source`` enters this
-    state once per run; code that calls ``run_move``, ``step_swarm`` or
-    ``REGISTRY[name](state, ctx)`` directly should enter it too, for example
-    around a whole loop of such calls::
+    Overflow, invalid and divide-by-zero raise ``FloatingPointError``;
+    underflow is ignored. Vector instructions refuse a result on that error
+    instead of checking its values, so correctness, not only quiet, depends
+    on this state: outside it they would push non-finite vectors.
+    ``run_with_source`` enters it once per run, around the objective's
+    evaluations too; code that calls ``run_move``, ``step_swarm`` or
+    ``REGISTRY[name](state, ctx)`` directly must enter it as well, for
+    example around a whole loop of such calls::
 
         with instruction_errstate():
             REGISTRY["vector.+"](state, ctx)
     """
-    return np.errstate(all="ignore")
+    return np.errstate(over="raise", invalid="raise", divide="raise", under="ignore")
 
 
 def run_single_item(state: InterpreterState, ctx, item) -> None:

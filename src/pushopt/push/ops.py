@@ -12,9 +12,17 @@ Conventions shared by all instructions:
   is ``a OP b`` (so ``float.-`` computes second minus top).
 - Every instruction function returns True if it executed and False if it
   degraded to a no-op.
+- Every value on every stack is finite: literals are finite (``Program``
+  rejects others), protected arithmetic refuses non-finite results and the
+  harness pushes only finite objective values.
 - Instructions run under ``interpreter.instruction_errstate``, which
   ``run_with_source`` enters once per run; direct callers of ``run_move``,
-  ``step_swarm`` or ``REGISTRY[name]`` enter it themselves.
+  ``step_swarm`` or ``REGISTRY[name]`` enter it themselves. Correctness, not
+  only quiet, depends on it: vector arithmetic learns that a result is
+  non-finite from the ``FloatingPointError`` the state raises for
+  overflow, invalid and divide-by-zero flags. With finite operands, an
+  elementwise result is non-finite exactly when one of those flags is
+  set; outside the state a non-finite vector would be pushed.
 """
 
 from __future__ import annotations
@@ -73,22 +81,6 @@ def items_equal(a, b) -> bool:
             items_equal(x, y) for x, y in zip(a.items, b.items)
         )
     return a == b
-
-
-# Read-only zero vectors by length, for _vec_ok.
-_ZEROS: dict = {}
-
-
-def _vec_ok(v) -> bool:
-    # Same answer as np.isfinite(v).all(), at a fraction of the cost: 0 * x
-    # is nan exactly when x is inf or nan, and a sum of zeros is finite.
-    n = len(v)
-    zeros = _ZEROS.get(n)
-    if zeros is None:
-        zeros = np.zeros(n)
-        zeros.flags.writeable = False
-        _ZEROS[n] = zeros
-    return math.isfinite(v.dot(zeros))
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +668,9 @@ def _vector_pairwise(name, fn):
         vs = state.vectors
         if len(vs) < 2:
             return False
-        b = vs[-1]
-        a = vs[-2]
-        r = fn(a, b)
-        if not _vec_ok(r):
+        try:
+            r = fn(vs[-2], vs[-1])
+        except FloatingPointError:
             return False
         vs.pop()
         vs.pop()
@@ -699,8 +690,9 @@ _vector_pairwise("vector./", operator.truediv)
 def _vector_scale(state, ctx):
     if not state.vectors or not state.floats:
         return False
-    r = state.vectors[-1] * state.floats[-1]
-    if not _vec_ok(r):
+    try:
+        r = state.vectors[-1] * state.floats[-1]
+    except FloatingPointError:
         return False
     state.vectors.pop()
     state.floats.pop()
@@ -713,7 +705,14 @@ def _vector_dprod(state, ctx):
     vs = state.vectors
     if len(vs) < 2:
         return False
-    r = float(vs[-2] @ vs[-1])
+    # Not every numpy release sets the flags in dot, so the scalar is
+    # checked as well. For length-1 vectors dot returns the lone product,
+    # which may be -0.0 where matmul's sum from 0.0 gives 0.0; adding 0.0
+    # gives matmul's bits.
+    try:
+        r = float(vs[-2].dot(vs[-1])) + 0.0
+    except FloatingPointError:
+        return False
     if not math.isfinite(r):
         return False
     vs.pop()
@@ -727,7 +726,11 @@ def _vector_mag(state, ctx):
     vs = state.vectors
     if not vs:
         return False
-    r = math.sqrt(vs[-1] @ vs[-1])
+    v = vs[-1]
+    try:
+        r = math.sqrt(v.dot(v))
+    except FloatingPointError:
+        return False
     if not math.isfinite(r):
         return False
     vs.pop()
@@ -769,8 +772,9 @@ def _vector_between(state, ctx):
     t = state.floats[-1]
     b = vs[-1]
     a = vs[-2]
-    r = a + t * (b - a)
-    if not _vec_ok(r):
+    try:
+        r = a + t * (b - a)
+    except FloatingPointError:
         return False
     state.floats.pop()
     vs.pop()
@@ -784,7 +788,7 @@ def _vector_urand(state, ctx):
     norm = 0.0
     while norm == 0.0:
         g = state.rng.normal(size=state.dim)
-        norm = math.sqrt(g @ g)
+        norm = math.sqrt(g.dot(g))
     state.vectors.append(g / norm)
     return True
 
@@ -830,10 +834,7 @@ def _vector_apply(state, ctx):
     # empty or never runs because the step limit was reached.
     if not state.vectors or not state.exec:
         return False
-    # Deferred: the interpreter module imports this one.
-    from .interpreter import run_single_item
-
-    snapshot = state.stack_snapshot()
+    run_single_item = _interpreter.run_single_item
     body = state.exec.pop()
     v = state.vectors.pop()
     floats = state.floats
@@ -845,11 +846,7 @@ def _vector_apply(state, ctx):
             if floats:
                 c = floats.pop()
         out.append(c)
-    r = np.array(out, dtype=v.dtype)
-    if not _vec_ok(r):
-        state.restore_snapshot(snapshot)
-        return False
-    state.vectors.append(r)
+    state.vectors.append(np.array(out, dtype=v.dtype))
     return True
 
 
@@ -858,9 +855,7 @@ def _vector_zip(state, ctx):
     # As vector.apply, but over pairs of components of the two top vectors.
     if len(state.vectors) < 2 or not state.exec:
         return False
-    from .interpreter import run_single_item
-
-    snapshot = state.stack_snapshot()
+    run_single_item = _interpreter.run_single_item
     body = state.exec.pop()
     b = state.vectors.pop()
     a = state.vectors.pop()
@@ -874,11 +869,7 @@ def _vector_zip(state, ctx):
             if floats:
                 c = floats.pop()
         out.append(c)
-    r = np.array(out, dtype=a.dtype)
-    if not _vec_ok(r):
-        state.restore_snapshot(snapshot)
-        return False
-    state.vectors.append(r)
+    state.vectors.append(np.array(out, dtype=a.dtype))
     return True
 
 
@@ -923,3 +914,8 @@ class InstructionSet:
 
 
 DEFAULT_INSTRUCTION_SET = InstructionSet()
+
+
+# Imported last: the interpreter module imports this one, and is always
+# imported first (the package imports it before this module).
+from . import interpreter as _interpreter  # noqa: E402

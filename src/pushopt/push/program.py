@@ -29,9 +29,17 @@ class ProgramError(ValueError):
 
 @dataclass(frozen=True)
 class Program:
-    """An immutable linear genome of instruction names and literals."""
+    """An immutable linear genome of instruction names and literals.
+
+    Float literals must be finite, as on every stack the program runs on.
+    """
 
     items: tuple = ()
+
+    def __post_init__(self):
+        for item in self.items:
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ProgramError(f"non-finite literal: {item!r}")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -80,13 +88,10 @@ def _classify_token(token: str, instruction_set: InstructionSet):
     if _INT_TOKEN.match(token):
         return int(token)
     try:
-        value = float(token)
+        # A non-finite value is refused when the Program is built.
+        return float(token)
     except ValueError:
         pass
-    else:
-        if not math.isfinite(value):
-            raise ProgramError(f"non-finite literal: {token}")
-        return value
     if token in instruction_set:
         return token
     raise ProgramError(f"unknown instruction: {token}")

@@ -29,7 +29,8 @@ DEFAULT_SETTINGS = PushSettings()
 
 @dataclass
 class SwarmContext:
-    """Read-only snapshot of every swarm member's current and best point.
+    """Every swarm member's current and best point as of the start of the
+    move; instructions only read it.
 
     Lookups reduce the requested index modulo the swarm size; a negative
     index resolves to the calling member itself.
@@ -91,10 +92,3 @@ class InterpreterState:
             list(self.vectors),
             list(self.exec),
         )
-
-    def restore_snapshot(self, snapshot) -> None:
-        self.booleans[:] = snapshot[0]
-        self.integers[:] = snapshot[1]
-        self.floats[:] = snapshot[2]
-        self.vectors[:] = snapshot[3]
-        self.exec[:] = snapshot[4]

@@ -5,6 +5,7 @@ lines. Criteria with stated runtime bounds assert them.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -108,8 +109,8 @@ def test_criterion_1_interpreter_conformance():
         assert np.isfinite(result.pbest)
 
     # Fuzz: one million random instruction applications never crash, never
-    # leave a wrong-length or non-finite vector, and refused executions
-    # leave the stacks bit-identical.
+    # leave a wrong-length vector or a non-finite float anywhere on the
+    # stacks, and refused executions leave the stacks bit-identical.
     dim = 3
     rng, states, refill = _fuzz_states(dim, 32, 2024)
     names = sorted(REGISTRY)
@@ -135,6 +136,12 @@ def test_criterion_1_interpreter_conformance():
             for v in st.vectors:
                 assert len(v) == dim, name
                 assert np.isfinite(v).all(), name
+            # Python floats only: a numpy float would escape the float
+            # instructions' protected arithmetic.
+            for x in st.floats:
+                assert type(x) is float and math.isfinite(x), name
+            for item in st.exec:
+                assert type(item) is not float or math.isfinite(item), name
     elapsed = time.time() - started
     assert 0 < noops < applications
     assert elapsed < 120.0

@@ -1,10 +1,13 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pushopt.cli import EVOLVE_DEFAULTS, CliError, main, resolve_params
+from pushopt.problems import BenchmarkFunction, register_function
 
 from conftest import EVOLVED_OPTIMISERS
 
@@ -347,6 +350,61 @@ def test_run_with_bad_explicit_transform_fails_cleanly(tmp_path, capsys, transfo
     code = run_cli("run", "--program", "(0.0 vector.wrand)", "--problem", descriptor, "--out", str(out))
     assert code == 1
     assert capsys.readouterr().err.startswith("error: transform ")
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [[-1e308, 1e308], [1, 1], [2, 1], [1], ["a", 1]],
+    ids=["width-overflows", "zero-width", "reversed", "one-value", "not-a-number"],
+)
+def test_run_with_bad_bounds_override_fails_cleanly(tmp_path, capsys, bounds):
+    descriptor = write_json(tmp_path / "problem.json", {"id": "F1", "D": 2, "bounds_override": bounds})
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--program", "(0.0 vector.wrand)", "--problem", descriptor, "--moves", "3", "--out", str(out)
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: bounds_override ")
+    assert not (out / "results.csv").exists()
+
+
+# Objectives whose values cannot be feedback: inf everywhere (so already at
+# initialisation), nan at the origin that "(0.0 vector.wrand)" proposes on
+# its first move, and a numpy overflow.
+register_function(
+    "STUB-INF",
+    lambda dim, seed, bounds=None: BenchmarkFunction("STUB-INF", dim, -1.0, 1.0, np.zeros(dim)),
+    lambda fn, x: math.inf,
+)
+register_function(
+    "STUB-NAN-AT-ORIGIN",
+    lambda dim, seed, bounds=None: BenchmarkFunction("STUB-NAN-AT-ORIGIN", dim, -1.0, 1.0, np.zeros(dim)),
+    lambda fn, x: math.nan if not x.any() else 1.0,
+)
+register_function(
+    "STUB-OVERFLOW",
+    lambda dim, seed, bounds=None: BenchmarkFunction("STUB-OVERFLOW", dim, -1.0, 1.0, np.zeros(dim)),
+    lambda fn, x: float(np.exp(x + 1000.0).sum()),
+)
+
+
+@pytest.mark.parametrize(
+    "fid, message",
+    [
+        ("STUB-INF", "returned a non-finite value: inf"),
+        ("STUB-NAN-AT-ORIGIN", "returned a non-finite value: nan"),
+        ("STUB-OVERFLOW", "raised a floating-point error"),
+    ],
+)
+def test_run_with_non_finite_objective_values_fails_cleanly(tmp_path, capsys, fid, message):
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--program", "(0.0 vector.wrand)", "--function", fid, "--dim", "2",
+        "--transforms", "identity", "--moves", "3", "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: objective {fid} {message}")
     assert not (out / "results.csv").exists()
 
 

@@ -5,10 +5,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
+from pushopt.harness import INFEASIBLE
 from pushopt.push import (
     DEFAULT_SETTINGS,
     INT_LIMIT,
@@ -21,7 +22,7 @@ from pushopt.push import (
     parse_program,
     run_move,
 )
-from pushopt.push.ops import _WRAND_LIMIT, _vec_ok, items_equal
+from pushopt.push.ops import _WRAND_LIMIT, items_equal
 
 from conftest import fresh_state, solo_context
 
@@ -545,65 +546,130 @@ def test_vector_zip_empty_float_keeps_first_components():
     "name, vectors, body",
     [
         ("vector.apply", 1, ExecGroup((5, "float.swap"))),
-        # The two pushed components sit above the inf, so zip needs a rot
+        # The two pushed components sit above the marker, so zip needs a rot
         # (not a swap) to pop it as a result component.
         ("vector.zip", 2, ExecGroup((5, "float.rot"))),
     ],
 )
-def test_vector_apply_and_zip_roll_back_non_finite_results(name, vectors, body):
-    # An objective registered with register_function may return inf, which
-    # the harness pushes as feedback; a body that moves it into the result
-    # makes the instruction refuse and restore every stack.
+def test_vector_apply_and_zip_take_any_stack_float_into_the_result(name, vectors, body):
+    # Every float on the stack is finite, the harness's infeasible marker
+    # included, so a body that moves one into the result gives a finite
+    # vector and nothing needs rolling back.
     st = fresh_state(dim=3)
-    st.booleans.append(True)
-    st.integers.append(7)
-    st.floats.append(math.inf)
+    st.floats.append(INFEASIBLE)
     for k in range(vectors):
         st.vectors.append(np.array([1.0, 2.0, 3.0]) + k)
     st.exec.extend(["exec.noop", body])
     st.step_limit = 100
-    before = st.stack_snapshot()
-    assert apply(name, st) is False
-    after = st.stack_snapshot()
-    assert after[0] == before[0]
-    assert after[1] == before[1]
-    assert after[2] == before[2]
-    assert len(after[3]) == len(before[3])
-    assert all(x is y for x, y in zip(after[3], before[3]))
-    assert after[4] == before[4]
+    assert apply(name, st) is True
+    assert len(st.vectors) == 1
+    assert st.vectors[0].dtype == np.float64
+    assert st.vectors[0][0] == INFEASIBLE
+    assert np.isfinite(st.vectors[0]).all()
+    assert st.exec == ["exec.noop"]
 
 
 _SPECIAL_FLOATS = [
-    math.inf,
-    -math.inf,
-    math.nan,
     sys.float_info.max,
     -sys.float_info.max,
     5e-324,
     -5e-324,
+    1e-310,
     sys.float_info.min,
+    -sys.float_info.min,
     -0.0,
     0.0,
+    1.0,
+    -1.0,
 ]
 
+# Finite values only: every value on every stack is finite.
+_FINITE = hst.one_of(
+    hst.floats(allow_nan=False, allow_infinity=False),
+    hst.sampled_from(_SPECIAL_FLOATS),
+)
 
-@given(
-    hst.sampled_from([1, 2, 10, 50]).flatmap(
-        lambda n: arrays(
-            np.float64,
-            n,
-            elements=hst.one_of(hst.floats(), hst.sampled_from(_SPECIAL_FLOATS)),
-        )
+_VECTOR_PAIRS = hst.sampled_from([1, 2, 10, 50]).flatmap(
+    lambda n: hst.tuples(
+        arrays(np.float64, n, elements=_FINITE),
+        arrays(np.float64, n, elements=_FINITE),
     )
 )
-@example(np.array([math.inf]))
-@example(np.array([-math.inf, 1.0]))
-@example(np.array([math.nan] + [0.0] * 9))
-@example(np.full(50, sys.float_info.max))
-@example(np.array([-0.0, 5e-324]))
-def test_vector_finite_check_matches_isfinite(v):
-    with instruction_errstate():
-        assert _vec_ok(v) == bool(np.isfinite(v).all())
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _old_vec_ok(v) -> bool:
+    # The finite check the vector instructions made before they read
+    # numpy's floating-point flags: 0 * x is nan exactly when x is not
+    # finite, and a sum of zeros is finite.
+    return math.isfinite(v.dot(np.zeros(len(v))))
+
+
+# The vector instructions that read the flags, with the arithmetic they ran
+# before, given (second, top) vectors and the top float.
+_FLAG_OPS = {
+    "vector.+": lambda a, b, t: a + b,
+    "vector.-": lambda a, b, t: a - b,
+    "vector.*": lambda a, b, t: a * b,
+    "vector./": lambda a, b, t: a / b,
+    "vector.scale": lambda a, b, t: b * t,
+    "vector.between": lambda a, b, t: a + t * (b - a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLAG_OPS))
+@settings(max_examples=300, deadline=None)
+@given(pair=_VECTOR_PAIRS, t=_FINITE)
+@example(pair=(np.array([sys.float_info.max]), np.array([sys.float_info.max])), t=2.0)
+@example(pair=(np.array([0.0, 1.0]), np.array([0.0, 0.0])), t=0.0)
+@example(pair=(np.full(50, -sys.float_info.max), np.full(50, sys.float_info.max)), t=0.0)
+@example(pair=(np.full(10, 5e-324), np.full(10, 0.5)), t=1e-300)
+@example(pair=(np.full(10, 1e-310), np.full(10, 1e300)), t=-1e300)
+def test_vector_ops_refuse_exactly_as_the_finite_check_did(name, pair, t):
+    a, b = pair
+    # The old error state: everything ignored.
+    with np.errstate(all="ignore"):
+        want = _FLAG_OPS[name](a, b, t)
+        accepted = _old_vec_ok(want)
+    st = fresh_state(dim=len(a))
+    st.floats.append(t)
+    st.vectors.extend([a, b])
+    before = st.stack_snapshot()
+    assert apply(name, st) is accepted
+    if accepted:
+        assert st.vectors[-1].tobytes() == want.tobytes()
+    else:
+        after = st.stack_snapshot()
+        assert after[2] == before[2]
+        assert all(x is y for x, y in zip(after[3], before[3]))
+        assert len(after[3]) == len(before[3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_VECTOR_PAIRS)
+@example(pair=(np.full(50, sys.float_info.max), np.full(50, sys.float_info.max)))
+@example(pair=(np.array([sys.float_info.max, -sys.float_info.max]), np.array([1.0, 1.0])))
+@example(pair=(np.full(10, 5e-324), np.full(10, 5e-324)))
+@example(pair=(np.array([-0.0]), np.array([0.0])))
+def test_ndarray_dot_gives_the_bits_of_matmul(pair):
+    # F1, vector.dprod, vector.mag and vector.urand take vector products
+    # with ndarray.dot, which skips matmul's dispatch. A square is never
+    # -0.0, so a self-product is bit for bit matmul's; a product of two
+    # vectors is once 0.0 has been added (vector.dprod does).
+    a, b = pair
+    with np.errstate(all="ignore"):
+        assert np.float64(a.dot(a)).tobytes() == np.float64(a @ a).tobytes()
+        assert _bits(float(a.dot(b)) + 0.0) == _bits(float(a @ b))
+        want = float(a @ b)
+    st = fresh_state(dim=len(a))
+    st.vectors.extend([a, b])
+    applied = apply("vector.dprod", st)
+    assert applied is math.isfinite(want)
+    if applied:
+        assert _bits(st.floats[-1]) == _bits(want)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pushopt.problems import (
     problem_family_from_descriptor,
     sample_transform,
 )
+from pushopt.push import instruction_errstate
 from pushopt.rng import stream
 
 from reference_functions import reference_error
@@ -133,6 +134,30 @@ def test_reference_equivalence(fid, dim):
     for _ in range(200):
         x = rng.uniform(fn.lower, fn.upper, dim)
         assert rel_close(fn.evaluate(x), reference_error(fn, x.tolist()))
+
+
+@pytest.mark.parametrize("fid", ALL_IDS)
+@pytest.mark.parametrize("dim", [1, 2, 10, 50])
+def test_objectives_raise_nothing_under_the_instruction_error_state(fid, dim):
+    # The harness evaluates inside instruction_errstate, where overflow,
+    # invalid and divide-by-zero raise. Built-in objectives must not, at any
+    # in-bounds point of any transformed instance: corners, the centre,
+    # zeros of either sign, the bounds' neighbours and random points.
+    rng = np.random.default_rng(dim)
+    for seed in range(4):
+        function = make_function(fid, dim, seed)
+        lower, upper = function.bounds
+        family = ProblemFamily(function)
+        edges = [lower, upper, math.nextafter(lower, upper), math.nextafter(upper, lower),
+                 0.0, -0.0, (lower + upper) / 2.0, 5e-324, -5e-324]
+        points = [np.full(dim, e) for e in edges]
+        points += [rng.choice(edges, dim) for _ in range(50)]
+        points += [rng.uniform(lower, upper, dim) for _ in range(100)]
+        for t in range(5):
+            problem = family.instance(stream(seed, "transform", t))
+            with instruction_errstate():
+                for x in points:
+                    assert math.isfinite(problem.evaluate(x))
 
 
 @pytest.mark.parametrize("fid", ALL_IDS)
@@ -313,6 +338,26 @@ def test_descriptor_bounds_override():
         {"id": "F1", "D": 2, "bounds_override": [-10, 10]}
     )
     assert family.function.bounds == (-10.0, 10.0)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [[-1e308, 1e308], [1, 1], [2, 1], [1], [1, 2, 3], ["a", 1], [True, 2], [0, math.inf],
+     [-math.nan, 1], "0 1", {"lower": 0}, []],
+)
+def test_descriptor_bad_bounds_override_is_error(bounds):
+    with pytest.raises(ValueError, match="bounds_override"):
+        problem_family_from_descriptor({"id": "F1", "D": 2, "bounds_override": bounds})
+
+
+def test_descriptor_bounds_override_takes_a_huge_integer_as_a_bad_value():
+    with pytest.raises(ValueError, match="bounds_override"):
+        problem_family_from_descriptor({"id": "F1", "D": 2, "bounds_override": [0, 10**400]})
+
+
+def test_descriptor_null_bounds_override_keeps_the_default():
+    family = problem_family_from_descriptor({"id": "F9", "D": 2, "bounds_override": None})
+    assert family.function.bounds == (-5.0, 5.0)
 
 
 def test_descriptor_unknown_key_is_error():

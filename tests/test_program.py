@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +49,15 @@ def test_parse_unbalanced_is_error():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ProgramError):
         parse_program(text)
+
+
+@pytest.mark.parametrize("literal", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+def test_program_rejects_non_finite_float_literals(literal):
+    # Every stack holds only finite values, so a program may not push others.
+    with pytest.raises(ProgramError, match="non-finite literal"):
+        Program((literal,))
+    with pytest.raises(ProgramError, match="non-finite literal"):
+        Program(("float.+", 1.0, literal))
 
 
 def test_parse_over_size_limit_is_error():
