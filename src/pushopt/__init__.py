@@ -16,7 +16,6 @@ from .push import (
     InterpreterState,
     Program,
     ProgramError,
-    PushSettings,
     SwarmContext,
     parse_program,
     print_program,

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis, evolution, hybrid
@@ -52,20 +53,28 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 # Keys shared by every command that selects a problem and runs a swarm.
+# Defaults that the library has too are read from its config classes.
 PROBLEM_DEFAULTS = {"function": None, "D": None, "problem_seed": 0}
-SWARM_DEFAULTS = {"swarm": 1, "moves": 1000, "execution_limit": 100, "seed": 0}
+SWARM_DEFAULTS = {
+    "swarm": RunConfig.swarm_size, "moves": RunConfig.moves,
+    "execution_limit": RunConfig.execution_limit, "seed": RunConfig.seed,
+}
 
 EVOLVE_DEFAULTS = {
     **PROBLEM_DEFAULTS,  # function and D are required
     **SWARM_DEFAULTS,
-    "pop": 200,
-    "gens": 50,
-    "tournament": 5,
-    "size_limit": 100,
-    "repeats": 10,
-    "rates": {"crossover": 0.4, "mutation": 0.4, "reproduction": 0.2},
+    "pop": evolution.EvolutionConfig.population_size,
+    "gens": evolution.EvolutionConfig.generations,
+    "tournament": evolution.EvolutionConfig.tournament_size,
+    "size_limit": evolution.EvolutionConfig.size_limit,
+    "repeats": evolution.EvolutionConfig.repeats,
+    "rates": {
+        "crossover": evolution.EvolutionConfig.crossover_rate,
+        "mutation": evolution.EvolutionConfig.mutation_rate,
+        "reproduction": evolution.EvolutionConfig.reproduction_rate,
+    },
     "transforms": "random",
-    "transform_ranges": {"translate_frac": 0.5, "scale": [0.5, 2.0], "flip_prob": 0.5},
+    "transform_ranges": {**asdict(DEFAULT_TRANSFORM_RANGES), "scale": list(DEFAULT_TRANSFORM_RANGES.scale)},
     "instructions": None,  # null means the full default instruction set
     "jobs": 1,
 }
@@ -418,8 +427,8 @@ def _check_trajectory(command: str, trajectory, out_dir: Path) -> None:
 def execute(command: str, given: dict, out_dir, replay: bool = False) -> None:
     """Run ``command``, recorded in ``out_dir/manifest.json``. A replay writes
     a trajectory under ``out_dir``, never over the original run's file. A
-    trajectory path that names one of the command's result files fails
-    before anything is written."""
+    trajectory path that names one of the command's result files, and a
+    problem descriptor that is refused, fail before anything is written."""
     if command not in COMMANDS:
         raise CliError(f"unknown command: {command!r}")
     defaults, fn = COMMANDS[command]
@@ -429,6 +438,8 @@ def execute(command: str, given: dict, out_dir, replay: bool = False) -> None:
     if replay and params.get("trajectory") is not None:
         run_params = {**params, "trajectory": str(out_dir / Path(params["trajectory"]).name)}
     _check_trajectory(command, run_params.get("trajectory"), out_dir)
+    if run_params.get("problem_file"):
+        _problem_family(run_params)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, command, params)
     fn(run_params, out_dir)

@@ -17,12 +17,11 @@ from .harness import RunConfig, fitness
 from .problems import ProblemFamily
 from .push import (
     DEFAULT_INSTRUCTION_SET,
-    DEFAULT_SETTINGS,
     DEFAULT_SIZE_LIMIT,
     InstructionSet,
     Program,
-    PushSettings,
 )
+from .push.ops import FLOAT_ERC, INTEGER_ERC
 from .rng import derive_seed, stream
 
 
@@ -38,7 +37,6 @@ class EvolutionConfig:
     repeats: int = 10
     run: RunConfig = field(default_factory=RunConfig)
     instruction_set: InstructionSet = DEFAULT_INSTRUCTION_SET
-    settings: PushSettings = DEFAULT_SETTINGS
     seed: int = 0
 
     def __post_init__(self):
@@ -68,29 +66,24 @@ class EvolvedResult:
     final_population: tuple  # (program, fitness) pairs of the last generation
 
 
-def draw_item(pool, rng, settings: PushSettings):
+def draw_item(pool, rng):
     """One genome item drawn uniformly from instructions and constant makers."""
     choice = pool[int(rng.integers(len(pool)))]
     if choice == "boolean.erc":
         return bool(rng.random() < 0.5)
     if choice == "float.erc":
-        return float(rng.uniform(*settings.float_erc))
+        return float(rng.uniform(*FLOAT_ERC))
     if choice == "integer.erc":
-        lo, hi = settings.integer_erc
+        lo, hi = INTEGER_ERC
         return int(rng.integers(lo, hi + 1))
     return choice
 
 
-def random_program(
-    instruction_set: InstructionSet,
-    size_limit: int,
-    rng: np.random.Generator,
-    settings: PushSettings = DEFAULT_SETTINGS,
-) -> Program:
+def random_program(instruction_set: InstructionSet, size_limit: int, rng: np.random.Generator) -> Program:
     """A syntactically valid program with length uniform in [1, size_limit]."""
     pool = instruction_set.generation_pool()
     length = int(rng.integers(1, size_limit + 1))
-    return Program(tuple(draw_item(pool, rng, settings) for _ in range(length)))
+    return Program(tuple(draw_item(pool, rng) for _ in range(length)))
 
 
 def mutate(
@@ -98,7 +91,6 @@ def mutate(
     rng: np.random.Generator,
     instruction_set: InstructionSet = DEFAULT_INSTRUCTION_SET,
     size_limit: int = DEFAULT_SIZE_LIMIT,
-    settings: PushSettings = DEFAULT_SETTINGS,
 ) -> Program:
     """Apply one of point-replace, insert or delete at a uniform position.
 
@@ -113,13 +105,13 @@ def mutate(
             return program
         pos = int(rng.integers(len(items)))
         pool = instruction_set.generation_pool()
-        return Program(items[:pos] + (draw_item(pool, rng, settings),) + items[pos + 1 :])
+        return Program(items[:pos] + (draw_item(pool, rng),) + items[pos + 1 :])
     if kind == 1:  # insert
         if len(items) >= size_limit:
             return program
         pos = int(rng.integers(len(items) + 1))
         pool = instruction_set.generation_pool()
-        return Program(items[:pos] + (draw_item(pool, rng, settings),) + items[pos:])
+        return Program(items[:pos] + (draw_item(pool, rng),) + items[pos:])
     if len(items) <= 1:  # delete
         return program
     pos = int(rng.integers(len(items)))
@@ -186,7 +178,7 @@ def evolve(
         raise ValueError("jobs must be >= 1")
     iset = config.instruction_set
     population = [
-        random_program(iset, config.size_limit, stream(config.seed, "initpop", i), config.settings)
+        random_program(iset, config.size_limit, stream(config.seed, "initpop", i))
         for i in range(config.population_size)
     ]
     best_program = None
@@ -224,7 +216,7 @@ def evolve(
                 if roll < config.crossover_rate:
                     child = crossover(select(), select(), var_rng, config.size_limit)
                 elif roll < config.crossover_rate + config.mutation_rate:
-                    child = mutate(select(), var_rng, iset, config.size_limit, config.settings)
+                    child = mutate(select(), var_rng, iset, config.size_limit)
                 else:
                     child = select()
                 offspring.append(child)

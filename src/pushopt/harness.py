@@ -24,10 +24,8 @@ import numpy as np
 from .problems import Problem, ProblemFamily
 from .push import (
     DEFAULT_EXECUTION_LIMIT,
-    DEFAULT_SETTINGS,
     InterpreterState,
     Program,
-    PushSettings,
     SwarmContext,
     instruction_errstate,
     run_move,
@@ -48,7 +46,6 @@ class RunConfig:
     execution_limit: int = DEFAULT_EXECUTION_LIMIT
     record_trajectory: bool = False
     seed: int = 0
-    settings: PushSettings = DEFAULT_SETTINGS
 
     def __post_init__(self):
         if self.swarm_size < 1:
@@ -171,7 +168,6 @@ def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) 
         state = InterpreterState(
             dim=problem.dim,
             rng=stream(config.seed, "member", p),
-            settings=config.settings,
             inputs=(lower, upper),
         )
         point = init_rng.uniform(lower, upper, problem.dim)

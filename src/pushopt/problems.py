@@ -12,7 +12,6 @@ Additional functions can be plugged in through ``register_function``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -69,10 +68,6 @@ def register_function(fid: str, builder, evaluator) -> None:
     """
     _BUILDERS[fid] = builder
     _EVALUATORS[fid] = evaluator
-
-
-def supported_functions() -> tuple:
-    return tuple(_BUILDERS)
 
 
 def make_function(fid: str, dim: int, seed: int, bounds: tuple = None) -> BenchmarkFunction:
@@ -325,18 +320,12 @@ class ProblemFamily:
 _DESCRIPTOR_KEYS = {"id", "D", "seed", "transform", "bounds_override"}
 
 
-def load_problem_descriptor(path) -> ProblemFamily:
-    """Load a problem descriptor: {id, D, seed, transform, bounds_override}.
+def problem_family_from_descriptor(raw: dict) -> ProblemFamily:
+    """A problem descriptor's family: {id, D, seed, transform, bounds_override}.
 
     ``transform`` is "random" (default), "identity", or an explicit object
     with per-axis ``translation``, ``scale`` and ``flip`` lists.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return problem_family_from_descriptor(raw)
-
-
-def problem_family_from_descriptor(raw: dict) -> ProblemFamily:
     unknown = set(raw) - _DESCRIPTOR_KEYS
     if unknown:
         raise ValueError(f"unknown descriptor keys: {', '.join(sorted(unknown))}")

@@ -25,18 +25,11 @@ from .program import (
     print_program,
     save_program,
 )
-from .state import (
-    DEFAULT_EXECUTION_LIMIT,
-    DEFAULT_SETTINGS,
-    InterpreterState,
-    PushSettings,
-    SwarmContext,
-)
+from .state import DEFAULT_EXECUTION_LIMIT, InterpreterState, SwarmContext
 
 __all__ = [
     "DEFAULT_EXECUTION_LIMIT",
     "DEFAULT_INSTRUCTION_SET",
-    "DEFAULT_SETTINGS",
     "DEFAULT_SIZE_LIMIT",
     "ERC_MARKERS",
     "INT_LIMIT",
@@ -46,7 +39,6 @@ __all__ = [
     "InterpreterState",
     "Program",
     "ProgramError",
-    "PushSettings",
     "SwarmContext",
     "UnknownInstructionError",
     "default_instruction_set",

@@ -217,29 +217,21 @@ def _boolean_rand(state, ctx):
 
 @instruction("integer.rand")
 def _integer_rand(state, ctx):
-    lo, hi = state.settings.integer_rand
+    lo, hi = INTEGER_RAND
     state.integers.append(uniform_int(state.rng, lo, hi + 1))
     return True
 
 
 @instruction("float.rand")
 def _float_rand(state, ctx):
-    lo, hi = state.settings.float_rand
-    # Generator.uniform(lo, hi) returns lo + (hi - lo) * random() from one
-    # draw; computing it here skips uniform's argument handling. A width
-    # numpy rejects (negative or not finite) still goes to numpy to raise.
-    width = hi - lo
-    if 0.0 <= width < math.inf:
-        state.floats.append(lo + width * state.rng.random())
-    else:
-        state.floats.append(float(state.rng.uniform(lo, hi)))
+    # FLOAT_RAND is [0, 1), the range of random() itself.
+    state.floats.append(state.rng.random())
     return True
 
 
 @instruction("vector.rand")
 def _vector_rand(state, ctx):
-    lo, hi = state.settings.vector_rand
-    state.vectors.append(state.rng.uniform(lo, hi, state.dim))
+    state.vectors.append(state.rng.uniform(*VECTOR_RAND, state.dim))
     return True
 
 
@@ -880,6 +872,15 @@ def _vector_zip(state, ctx):
 # Ephemeral-random-constant markers: drawn during program generation and
 # frozen into literals; they are not executable instructions.
 ERC_MARKERS = ("boolean.erc", "float.erc", "integer.erc")
+
+# The ranges of the random-value instructions and of the ephemeral random
+# constants; boolean.rand and boolean.erc are fair coin flips. Integer
+# ranges include both ends; float ranges are half-open, [low, high).
+FLOAT_RAND = (0.0, 1.0)
+INTEGER_RAND = (-10, 10)
+VECTOR_RAND = (-1.0, 1.0)
+FLOAT_ERC = (-1.0, 1.0)
+INTEGER_ERC = (-10, 10)
 
 
 def default_instruction_set() -> tuple:

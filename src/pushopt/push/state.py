@@ -9,24 +9,6 @@ import numpy as np
 DEFAULT_EXECUTION_LIMIT = 100
 
 
-@dataclass(frozen=True)
-class PushSettings:
-    """Ranges for the random-value instructions and ephemeral constants.
-
-    Each range is inclusive at both ends for integers; float ranges follow
-    numpy's half-open uniform convention.
-    """
-
-    float_rand: tuple[float, float] = (0.0, 1.0)
-    integer_rand: tuple[int, int] = (-10, 10)
-    vector_rand: tuple[float, float] = (-1.0, 1.0)
-    float_erc: tuple[float, float] = (-1.0, 1.0)
-    integer_erc: tuple[int, int] = (-10, 10)
-
-
-DEFAULT_SETTINGS = PushSettings()
-
-
 @dataclass
 class SwarmContext:
     """Every swarm member's current and best point as of the start of the
@@ -62,7 +44,6 @@ class InterpreterState:
 
     dim: int
     rng: np.random.Generator = None
-    settings: PushSettings = DEFAULT_SETTINGS
     booleans: list = field(default_factory=list)
     integers: list = field(default_factory=list)
     floats: list = field(default_factory=list)
@@ -76,13 +57,6 @@ class InterpreterState:
     def __post_init__(self):
         if self.rng is None:
             self.rng = np.random.default_rng()
-
-    def clear_stacks(self) -> None:
-        self.booleans.clear()
-        self.integers.clear()
-        self.floats.clear()
-        self.vectors.clear()
-        self.exec.clear()
 
     def stack_snapshot(self):
         return (

@@ -39,26 +39,23 @@ def derive_seed(seed: int, *path) -> int:
     return int((int(words[0]) << 31) ^ int(words[1]))
 
 
-def uniform_int(rng: np.random.Generator, low, high) -> int:
-    """``int(rng.integers(low, high))``, from the same draws.
+def uniform_int(rng: np.random.Generator, low: int, high: int) -> int:
+    """``int(rng.integers(low, high))``, from the same draws, for Python
+    ints with ``2 <= high - low < 2**32`` and both ends in the int64 range.
 
-    Widths ``high - low`` in [2, 2**32) take numpy's 32-bit Lemire draw
-    straight from the bit generator, without ``Generator.integers``'
-    argument handling: one 32-bit word scaled by the width, redrawn while
-    its low half falls below ``2**32 % width``. Everything else, bad ranges
-    included, goes to ``Generator.integers``, which raises its own errors.
-    Like every stream in the package, ``rng`` is used by one thread only.
+    This is numpy's 32-bit Lemire draw taken straight from the bit
+    generator, without ``Generator.integers``' argument handling: one 32-bit
+    word scaled by the width, redrawn while its low half falls below
+    ``2**32 % width``. Like every stream in the package, ``rng`` is used by
+    one thread only.
     """
-    if type(low) is int and type(high) is int:
-        width = high - low
-        if 2 <= width < 2**32 and -(2**63) <= low and high <= 2**63:
-            bits = rng.bit_generator.ctypes
-            next_uint32 = bits.next_uint32
-            address = bits.state
+    width = high - low
+    bits = rng.bit_generator.ctypes
+    next_uint32 = bits.next_uint32
+    address = bits.state
+    m = next_uint32(address) * width
+    if m & 0xFFFFFFFF < width:
+        threshold = 2**32 % width
+        while m & 0xFFFFFFFF < threshold:
             m = next_uint32(address) * width
-            if m & 0xFFFFFFFF < width:
-                threshold = 2**32 % width
-                while m & 0xFFFFFFFF < threshold:
-                    m = next_uint32(address) * width
-            return low + (m >> 32)
-    return int(rng.integers(low, high))
+    return low + (m >> 32)

@@ -351,6 +351,7 @@ def test_run_with_bad_explicit_transform_fails_cleanly(tmp_path, capsys, transfo
     assert code == 1
     assert capsys.readouterr().err.startswith("error: transform ")
     assert not (out / "results.csv").exists()
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -367,6 +368,7 @@ def test_run_with_bad_bounds_override_fails_cleanly(tmp_path, capsys, bounds):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: bounds_override ")
     assert not (out / "results.csv").exists()
+    assert not (out / "manifest.json").exists()
 
 
 # Objectives whose values cannot be feedback: inf everywhere (so already at

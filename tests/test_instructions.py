@@ -1,5 +1,4 @@
 import math
-import re
 import struct
 import sys
 
@@ -11,18 +10,16 @@ from hypothesis.extra.numpy import arrays
 
 from pushopt.harness import INFEASIBLE
 from pushopt.push import (
-    DEFAULT_SETTINGS,
     INT_LIMIT,
     REGISTRY,
     ExecGroup,
     InterpreterState,
-    PushSettings,
     SwarmContext,
     instruction_errstate,
     parse_program,
     run_move,
 )
-from pushopt.push.ops import _WRAND_LIMIT, items_equal
+from pushopt.push.ops import FLOAT_RAND, INTEGER_RAND, VECTOR_RAND, _WRAND_LIMIT, items_equal
 
 from conftest import fresh_state, solo_context
 
@@ -130,72 +127,39 @@ def test_rand_instructions_respect_ranges():
     assert all(len(v) == 4 and (np.abs(v) <= 1.0).all() for v in st.vectors)
 
 
-_RAND_SETTINGS = (
-    DEFAULT_SETTINGS,
-    PushSettings(float_rand=(-3.5, 7.25), vector_rand=(-1e3, 2.5e-3)),
-    PushSettings(float_rand=(1e-300, 1e300), vector_rand=(-0.0, 5e-324)),
-)
-
-
 def test_rand_instructions_match_generator_uniform():
     # float.rand, vector.rand and vector.wrand push exactly what
     # Generator.uniform returns from the same stream: the same bits and
     # Python types, drawn in the same order.
     for seed in range(1000):
-        for settings in _RAND_SETTINGS:
-            for dim in (1, 2, 10, 50):
-                ref = np.random.default_rng(seed)
-                st = InterpreterState(dim=dim, rng=np.random.default_rng(seed), settings=settings)
-                apply("float.rand", st)
-                expected = float(ref.uniform(*settings.float_rand))
-                assert type(st.floats[0]) is float
-                assert struct.pack("<d", st.floats.pop()) == struct.pack("<d", expected)
-                apply("vector.rand", st)
-                expected = [ref.uniform(*settings.vector_rand, dim)]
-                for f in (0.0, 1.0, _WRAND_LIMIT):
-                    st.floats.append(f)
-                    assert apply("vector.wrand", st) is True
-                    expected.append(ref.uniform(-f, f, dim))
-                assert len(st.vectors) == len(expected)
-                for got, want in zip(st.vectors, expected):
-                    assert type(got) is np.ndarray and got.dtype == want.dtype
-                    assert got.shape == (dim,) and got.tobytes() == want.tobytes()
-                assert st.rng.random() == ref.random()
+        for dim in (1, 2, 10, 50):
+            ref = np.random.default_rng(seed)
+            st = InterpreterState(dim=dim, rng=np.random.default_rng(seed))
+            apply("float.rand", st)
+            expected = float(ref.uniform(*FLOAT_RAND))
+            assert type(st.floats[0]) is float
+            assert struct.pack("<d", st.floats.pop()) == struct.pack("<d", expected)
+            apply("vector.rand", st)
+            expected = [ref.uniform(*VECTOR_RAND, dim)]
+            for f in (0.0, 1.0, _WRAND_LIMIT):
+                st.floats.append(f)
+                assert apply("vector.wrand", st) is True
+                expected.append(ref.uniform(-f, f, dim))
+            assert len(st.vectors) == len(expected)
+            for got, want in zip(st.vectors, expected):
+                assert type(got) is np.ndarray and got.dtype == want.dtype
+                assert got.shape == (dim,) and got.tobytes() == want.tobytes()
+            assert st.rng.random() == ref.random()
 
 
-@pytest.mark.parametrize(
-    "lo, hi", [(0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0), (-math.inf, math.inf), (1.0, 0.0)]
-)
-@pytest.mark.parametrize(
-    "name, field", [("float.rand", "float_rand"), ("vector.rand", "vector_rand")]
-)
-def test_rand_instructions_raise_generator_errors(name, field, lo, hi):
-    # A range numpy rejects (a width that is not finite, or negative) raises
-    # the error Generator.uniform raises for it.
-    with pytest.raises(Exception) as expected:
-        np.random.default_rng(0).uniform(lo, hi, None if name == "float.rand" else 3)
-    settings = PushSettings(**{field: (lo, hi)})
-    st = InterpreterState(dim=3, rng=np.random.default_rng(0), settings=settings)
-    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-        apply(name, st)
-
-
-@pytest.mark.parametrize(
-    "lo, hi", [(-10, 10), (0, 2**31), (-(2**63), 2**63 - 1), (5, 5), (5, 4), (0.5, 3.0)]
-)
-def test_integer_rand_matches_generator_integers(lo, hi):
+def test_integer_rand_matches_generator_integers():
     # integer.rand pushes int(Generator.integers(lo, hi + 1)) from the same
-    # stream, or raises its error.
-    settings = PushSettings(integer_rand=(lo, hi))
+    # stream.
+    lo, hi = INTEGER_RAND
     for seed in range(50):
         ref = np.random.default_rng(seed)
-        st = InterpreterState(dim=2, rng=np.random.default_rng(seed), settings=settings)
-        try:
-            expected = [int(ref.integers(lo, hi + 1)) for _ in range(5)]
-        except Exception as exc:  # compared with the instruction's error
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                apply("integer.rand", st)
-            return
+        st = InterpreterState(dim=2, rng=np.random.default_rng(seed))
+        expected = [int(ref.integers(lo, hi + 1)) for _ in range(5)]
         for _ in range(5):
             assert apply("integer.rand", st) is True
         assert [type(i) for i in st.integers] == [int] * 5

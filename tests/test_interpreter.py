@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pushopt.push
 from pushopt.push import Program, instruction_errstate, parse_program, run_move
 
 from conftest import fresh_state
@@ -12,6 +13,12 @@ def _errstate():
     # run_with_source enters it once around all of its moves.
     with instruction_errstate():
         yield
+
+
+def test_every_exported_name_resolves():
+    # A stale entry in __all__ would break "from pushopt.push import *".
+    missing = [name for name in pushopt.push.__all__ if not hasattr(pushopt.push, name)]
+    assert missing == []
 
 
 def test_empty_program_leaves_state_unchanged():

@@ -3,7 +3,6 @@ without the exec stack, and must leave exactly what the general loop
 leaves."""
 
 import hashlib
-import math
 import pickle
 import struct
 from functools import partial
@@ -24,7 +23,6 @@ from pushopt.push import (
     InstructionSet,
     InterpreterState,
     Program,
-    PushSettings,
     SwarmContext,
     UnknownInstructionError,
     instruction_errstate,
@@ -86,7 +84,7 @@ def _attempt(runner, state, program, ctx, limit):
     return usage, None
 
 
-def assert_same_moves(program, dim, limit, seed, moves=8, settings_=None):
+def assert_same_moves(program, dim, limit, seed, moves=8):
     """Run ``program`` move by move on two identical states, one through
     ``run_move`` and one through the loop alone, with harness-like feedback
     between moves, and compare everything after every move."""
@@ -95,12 +93,7 @@ def assert_same_moves(program, dim, limit, seed, moves=8, settings_=None):
     ctx = SwarmContext(points, points[::-1], 1)
     states = []
     for _ in range(2):
-        state = InterpreterState(
-            dim=dim,
-            rng=np.random.default_rng(seed),
-            settings=settings_ or PushSettings(),
-            inputs=(-5.0, 5.0),
-        )
+        state = InterpreterState(dim=dim, rng=np.random.default_rng(seed), inputs=(-5.0, 5.0))
         state.vectors.append(points[1])
         state.floats.append(2.5)
         state.booleans.append(True)
@@ -260,20 +253,29 @@ def test_bad_item_raises_after_earlier_items(items, error):
         assert_same_moves(program, 2, limit, seed=0, moves=2)
 
 
-def test_raise_inside_the_plan_leaves_what_the_loop_leaves():
-    # float.rand raises numpy's error for an infinite range; it sits inside
+def _raises(state, ctx):
+    state.floats.append(1.5)
+    raise OverflowError("test.raise")
+
+
+_raises.touches_exec = False
+
+
+def test_raise_inside_the_plan_leaves_what_the_loop_leaves(monkeypatch):
+    # A plain instruction that raises after changing a stack; it sits inside
     # the plan, after an instruction whose use is counted.
-    program = Program((1, "integer.dup", 2.5, "float.rand", 3, "integer.+"))
+    monkeypatch.setitem(REGISTRY, "test.raise", _raises)
+    program = Program((1, "integer.dup", 2.5, "test.raise", 3, "integer.+"))
     assert len(program.plan) == len(program)
-    bad = PushSettings(float_rand=(0.0, math.inf))
-    state = InterpreterState(dim=2, rng=np.random.default_rng(0), settings=bad)
+    state = InterpreterState(dim=2, rng=np.random.default_rng(0))
     usage = {}
     with pytest.raises(OverflowError):
         run_move(state, program, usage=usage)
     assert state.steps_used == 4
     assert state.exec == ["integer.+", 3]
+    assert state.floats == [2.5, 1.5]
     assert usage == {"integer.dup": 1}
-    assert_same_moves(program, 2, 100, seed=0, moves=1, settings_=bad)
+    assert_same_moves(program, 2, 100, seed=0, moves=1)
 
 
 def test_pickled_program_drops_its_plan():
@@ -371,29 +373,29 @@ _pushes_onto_exec.touches_exec = True
 
 SINGLE_ITEM_BODIES = sorted(REGISTRY) + [
     2.5, 3, True, ExecGroup(("float.neg", 1.5, "exec.dup", "float.abs")), ExecGroup(()),
-    "no.such", "test.partial", "test.pushes",
+    "no.such", "test.partial", "test.pushes", "test.raise",
 ]
 
 
 @pytest.mark.parametrize("body", SINGLE_ITEM_BODIES, ids=repr)
 def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
     # Every registered instruction, a literal, groups, an unknown name, a
-    # registered callable that is not a plain function and a touches_exec
-    # instruction that leaves items on its private exec stack; on full and
-    # empty stacks, with steps to spare, with the last step and with none.
+    # registered callable that is not a plain function, a touches_exec
+    # instruction that leaves items on its private exec stack and a plain
+    # instruction that raises; on full and empty stacks, with steps to
+    # spare, with the last step and with none.
     negate = partial(REGISTRY["float.neg"])
     negate.touches_exec = False
     monkeypatch.setitem(REGISTRY, "test.partial", negate)
     monkeypatch.setitem(REGISTRY, "test.pushes", _pushes_onto_exec)
+    monkeypatch.setitem(REGISTRY, "test.raise", _raises)
     point = np.zeros(3)
     ctx = SwarmContext([point], [point], 0)
-    bad = PushSettings(float_rand=(0.0, math.inf))
-    for full, settings_ in ((True, PushSettings()), (True, bad), (False, PushSettings())):
+    for full in (True, False):
         for steps_used, limit in ((0, 100), (4, 5), (5, 5), (6, 5)):
             outcomes = []
             for runner in (run_single_item, loop_single_item):
                 state = _full_state() if full else InterpreterState(dim=3, rng=np.random.default_rng(0))
-                state.settings = settings_
                 state.steps_used = steps_used
                 state.step_limit = limit
                 state.usage = {"float.neg": 1}
@@ -405,4 +407,4 @@ def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
                     error = (type(exc), str(exc))
                 assert state.exec is caller_exec
                 outcomes.append((_snapshot(state), state.usage, error))
-            assert outcomes[0] == outcomes[1], (full, settings_, steps_used, limit)
+            assert outcomes[0] == outcomes[1], (full, steps_used, limit)
