@@ -4,11 +4,12 @@ re-evaluation reports with mean ranks."""
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .harness import RunConfig, fitness, format_value, run_optimisation
 from .hybrid import Pool, run_hybrid
+from .parallel import worker_pool
 from .problems import Problem, ProblemFamily
 from .push import Program
 from .rng import derive_seed, stream
@@ -150,8 +151,10 @@ def _column_ranks(values) -> list:
     return ranks
 
 
-def _run_optimiser(task) -> float:
-    optimiser, problem, config = task
+def _run_optimiser(shared, task) -> float:
+    optimisers, problems, config = shared
+    i, j, seed = task
+    optimiser, problem, config = optimisers[i], problems[j], replace(config, seed=seed)
     if isinstance(optimiser, Pool):
         return run_hybrid(optimiser, problem, config).pbest
     return run_optimisation(optimiser, problem, config).pbest
@@ -170,7 +173,8 @@ def reevaluate(
     optimiser faces the same ``runs`` random initial conditions per
     function, derived from (config.seed, function id, run index), so
     comparisons are paired. ``jobs > 1`` runs the (optimiser, problem, run)
-    grid in parallel worker processes without changing the results.
+    grid in worker processes, each of which receives the optimisers, the
+    problems and ``config`` once, without changing the results.
     """
     if not optimisers:
         raise ValueError("no optimisers given")
@@ -178,40 +182,20 @@ def reevaluate(
         raise ValueError("no functions given")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    names = tuple(name for name, _ in optimisers)
+    names, members = zip(*optimisers)
     problem_ids = tuple(fn.id for fn in functions)
+    problems = tuple(Problem.plain(fn) for fn in functions)
     tasks = [
-        (
-            optimiser,
-            Problem.plain(fn),
-            replace(config, seed=derive_seed(config.seed, "reeval", fn.id, r)),
-        )
-        for _, optimiser in optimisers
-        for fn in functions
+        (i, j, derive_seed(config.seed, "reeval", fn.id, r))
+        for i in range(len(names))
+        for j, fn in enumerate(functions)
         for r in range(runs)
     ]
-    if jobs > 1:
-        # About four chunks per worker: even shares without per-task overhead.
-        chunksize = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            flat = list(executor.map(_run_optimiser, tasks, chunksize=chunksize))
-    else:
-        flat = [_run_optimiser(task) for task in tasks]
-    per_run = []
-    means = []
-    index = 0
-    for _ in names:
-        rows = []
-        row_means = []
-        for _fn in functions:
-            bests = tuple(flat[index : index + runs])
-            index += runs
-            rows.append(bests)
-            row_means.append(sum(bests) / runs)
-        per_run.append(tuple(rows))
-        means.append(tuple(row_means))
+    with worker_pool(_run_optimiser, (members, problems, config), jobs) as run_all:
+        flat = run_all(tasks)
+    bests = iter(flat)
+    per_run = tuple(tuple(tuple(islice(bests, runs)) for _ in functions) for _ in names)
+    means = tuple(tuple(sum(bests) / runs for bests in row) for row in per_run)
     rank_columns = [
         _column_ranks([means[i][j] for i in range(len(names))])
         for j in range(len(problem_ids))
@@ -220,7 +204,7 @@ def reevaluate(
         sum(rank_columns[j][i] for j in range(len(problem_ids))) / len(problem_ids)
         for i in range(len(names))
     )
-    return ReevalReport(names, problem_ids, tuple(means), tuple(per_run), mean_ranks, runs)
+    return ReevalReport(names, problem_ids, means, per_run, mean_ranks, runs)
 
 
 def write_error_table_csv(path, report: ReevalReport) -> None:

@@ -260,15 +260,8 @@ def cmd_evolve(params: dict, out_dir: Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["generation", "best", "mean", "median", "best_so_far"])
         for s in result.stats:
-            writer.writerow(
-                [
-                    s.generation,
-                    format_value(s.best),
-                    format_value(s.mean),
-                    format_value(s.median),
-                    format_value(s.best_so_far),
-                ]
-            )
+            values = (s.best, s.mean, s.median, s.best_so_far)
+            writer.writerow([s.generation] + [format_value(v) for v in values])
 
 
 def cmd_run(params: dict, out_dir: Path) -> None:

@@ -8,12 +8,12 @@ each generation and the best fitness ever observed is retained.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .harness import RunConfig, fitness
+from .parallel import worker_pool
 from .problems import ProblemFamily
 from .push import (
     DEFAULT_INSTRUCTION_SET,
@@ -140,24 +140,10 @@ def tournament_select(population, fitnesses, k: int, rng: np.random.Generator) -
     return population[best]
 
 
-def _fitness_task(args):
-    program, family, repeats, config = args
-    return fitness(program, family, repeats, config)
-
-
-def _evaluate_population(population, family, config: EvolutionConfig, generation: int, executor):
-    tasks = [
-        (
-            program,
-            family,
-            config.repeats,
-            replace(config.run, seed=derive_seed(config.seed, "fit", generation, i)),
-        )
-        for i, program in enumerate(population)
-    ]
-    if executor is None:
-        return [_fitness_task(task) for task in tasks]
-    return list(executor.map(_fitness_task, tasks, chunksize=4))
+def _fitness(shared, task) -> float:
+    family, repeats, run = shared
+    program, seed = task
+    return fitness(program, family, repeats, replace(run, seed=seed))
 
 
 def evolve(
@@ -170,12 +156,11 @@ def evolve(
 
     ``on_generation(generation, population, fitnesses)`` is called after
     each generation is evaluated (checkpointing hook). With ``jobs > 1``,
-    fitness evaluations run in parallel worker processes; results are
-    independent of the worker count because every individual has its own
-    pre-split random stream.
+    fitness evaluations run in one pool of worker processes for the whole
+    call; each worker receives the family and the run config once. Results
+    are independent of the worker count and the start method because every
+    individual has its own pre-split random stream.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     iset = config.instruction_set
     population = [
         random_program(iset, config.size_limit, stream(config.seed, "initpop", i))
@@ -184,10 +169,11 @@ def evolve(
     best_program = None
     best_fitness = float("inf")
     stats = []
-    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
+    with worker_pool(_fitness, (family, config.repeats, config.run), jobs) as evaluate:
         for generation in range(config.generations + 1):
-            fitnesses = _evaluate_population(population, family, config, generation, executor)
+            fitnesses = evaluate(
+                [(p, derive_seed(config.seed, "fit", generation, i)) for i, p in enumerate(population)]
+            )
             gen_best = min(range(len(population)), key=lambda i: (fitnesses[i], i))
             if fitnesses[gen_best] < best_fitness:
                 best_fitness = fitnesses[gen_best]
@@ -221,9 +207,6 @@ def evolve(
                     child = select()
                 offspring.append(child)
             population = offspring
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return EvolvedResult(
         best_program=best_program,
         best_fitness=best_fitness,

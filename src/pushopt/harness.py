@@ -319,19 +319,13 @@ def repeated_runs(runner, family: ProblemFamily, repeats: int, config: RunConfig
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    per_repeat = []
-    results = []
-    for r in range(repeats):
-        problem = family.instance(stream(config.seed, "transform", r))
-        run_config = replace(config, seed=derive_seed(config.seed, "run", r))
-        result = runner(problem, run_config)
-        per_repeat.append(result.pbest)
-        results.append(result)
-    return FitnessReport(
-        per_repeat=tuple(per_repeat),
-        mean=sum(per_repeat) / repeats,
-        results=tuple(results),
+    results = tuple(
+        runner(family.instance(stream(config.seed, "transform", r)),
+               replace(config, seed=derive_seed(config.seed, "run", r)))
+        for r in range(repeats)
     )
+    per_repeat = tuple(result.pbest for result in results)
+    return FitnessReport(per_repeat=per_repeat, mean=sum(per_repeat) / repeats, results=results)
 
 
 def fitness_report(program: Program, family: ProblemFamily, repeats: int, config: RunConfig) -> FitnessReport:
@@ -393,18 +387,10 @@ def write_trajectory_jsonl(path, runs, run_id=0) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for repeat, result in runs:
             for row in result.trajectory:
-                fh.write(
-                    json.dumps(
-                        {
-                            "run": run_id,
-                            "repeat": repeat,
-                            "move": row.move,
-                            "member": row.member,
-                            "point": [float(c) for c in row.point],
-                            "error": None if math.isinf(row.value) else row.value,
-                            "in_bounds": row.in_bounds,
-                            "pbest": row.pbest,
-                        }
-                    )
-                    + "\n"
-                )
+                record = {
+                    "run": run_id, "repeat": repeat, "move": row.move, "member": row.member,
+                    "point": [float(c) for c in row.point],
+                    "error": None if math.isinf(row.value) else row.value,
+                    "in_bounds": row.in_bounds, "pbest": row.pbest,
+                }
+                fh.write(json.dumps(record) + "\n")

@@ -20,8 +20,6 @@ import numpy as np
 
 from .rng import stream
 
-SUPPORTED_FUNCTIONS = ("F1", "F9", "F12", "F13", "F14")
-
 
 @dataclass(frozen=True)
 class BenchmarkFunction:
@@ -47,9 +45,20 @@ class BenchmarkFunction:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
         return _EVALUATORS[self.id](self, np.asarray(point, dtype=float))
 
+    def __reduce__(self):
+        # A spawn or forkserver worker holds only what its imports registered.
+        fields = (self.id, self.dim, self.lower, self.upper, self.shift, self.params)
+        return _unpickle_function, (_EVALUATORS.get(self.id), fields)
 
-# Evaluators and builders live in module-level registries so functions stay
-# picklable for parallel workers.
+
+def _unpickle_function(evaluator, fields) -> BenchmarkFunction:
+    if evaluator is not None:
+        _EVALUATORS.setdefault(fields[0], evaluator)
+    return BenchmarkFunction(*fields)
+
+
+# Function ids map to their builders and evaluators; an instance names its
+# evaluator by id, so it holds no function object of its own.
 _EVALUATORS: dict = {}
 _BUILDERS: dict = {}
 
@@ -65,6 +74,11 @@ def register_function(fid: str, builder, evaluator) -> None:
     ``jobs`` counts only if workers compute the same values, and a value
     that is not finite, or a numpy floating-point error (evaluation runs
     under ``instruction_errstate``), stops the run with ``ValueError``.
+
+    A pickled instance carries its evaluator, by module and name, and
+    registers it where it is missing, so worker processes need no
+    registration of their own; for ``jobs > 1`` under ``spawn`` or
+    ``forkserver``, ``evaluator`` must therefore be a module-level function.
     """
     _BUILDERS[fid] = builder
     _EVALUATORS[fid] = evaluator

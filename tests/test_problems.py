@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pushopt.problems import (
-    SUPPORTED_FUNCTIONS,
     Problem,
     ProblemFamily,
     TransformRanges,
@@ -17,7 +16,7 @@ from pushopt.rng import stream
 
 from reference_functions import reference_error
 
-ALL_IDS = sorted(SUPPORTED_FUNCTIONS)
+ALL_IDS = sorted(("F1", "F9", "F12", "F13", "F14"))
 
 
 def rel_close(a, b, tol=1e-9):
