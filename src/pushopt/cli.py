@@ -189,11 +189,13 @@ def _run_config(params: dict, record: bool) -> RunConfig:
 
 
 def _load_program_arg(value) -> Program:
+    # Inline text is told apart before the filesystem is asked: text longer
+    # than a file name would make the probe itself fail.
+    if value.lstrip().startswith("("):
+        return parse_program(value)
     path = Path(value)
     if path.exists():
         return load_program(path)
-    if value.lstrip().startswith("("):
-        return parse_program(value)
     raise CliError(f"program file not found: {value}")
 
 

@@ -96,6 +96,15 @@ def run_hybrid(pool: Pool, problem: Problem, config: RunConfig, mode: str = "per
 # ---------------------------------------------------------------------------
 
 
+def _record(record, where: str, keys: tuple) -> dict:
+    """``record`` if it is a JSON object holding ``keys``; otherwise a
+    ValueError that names ``where``."""
+    if not isinstance(record, dict) or not all(key in record for key in keys):
+        wanted = " and ".join(f'"{key}"' for key in keys)
+        raise ValueError(f"{where} is not a JSON object with {wanted}")
+    return record
+
+
 def read_checkpoint(path) -> list:
     """Read (fitness, program text) entries from a JSONL checkpoint file."""
     entries = []
@@ -104,12 +113,13 @@ def read_checkpoint(path) -> list:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            source = f"{path}:{line_no + 1}"
+            record = _record(json.loads(line), f"checkpoint line {source}", ("program", "fitness"))
             entries.append(
                 PoolEntry(
                     program=parse_program(record["program"]),
                     fitness=float(record["fitness"]),
-                    source=f"{path}:{line_no + 1}",
+                    source=source,
                 )
             )
     return entries
@@ -153,12 +163,17 @@ def write_pool_manifest(pool: Pool, path) -> None:
 def load_pool_manifest(path) -> Pool:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    entries = tuple(
-        PoolEntry(
-            program=parse_program(record["program"]),
-            fitness=float(record.get("fitness", 0.0)),
-            source=str(record.get("source", f"{path}:{i}")),
+    records = _record(payload, f"pool manifest {path}", ("programs",))["programs"]
+    if not isinstance(records, list):
+        raise ValueError(f'pool manifest {path}: "programs" is not a JSON list')
+    entries = []
+    for i, record in enumerate(records):
+        record = _record(record, f"pool manifest {path} entry {i}", ("program",))
+        entries.append(
+            PoolEntry(
+                program=parse_program(record["program"]),
+                fitness=float(record.get("fitness", 0.0)),
+                source=str(record.get("source", f"{path}:{i}")),
+            )
         )
-        for i, record in enumerate(payload["programs"])
-    )
-    return Pool(entries)
+    return Pool(tuple(entries))

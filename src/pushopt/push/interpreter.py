@@ -143,6 +143,24 @@ def resolve_plan(items) -> tuple:
     return tuple(plan)
 
 
+def run_steps(state: InterpreterState, ctx, steps) -> None:
+    """Run plan steps (see ``resolve_plan``) taken from the iterator
+    ``steps``, without the exec stack or the step counters, which the
+    caller keeps. When a step raises, the iterator has handed out every
+    step up to and including that one."""
+    for step in steps:
+        # Instructions first: literals are rare in programs.
+        kind = type(step)
+        if kind is FunctionType:
+            step(state, ctx)
+        elif kind is float:
+            state.floats.append(step)
+        elif kind is int:
+            state.integers.append(step)
+        else:
+            state.booleans.append(step)
+
+
 def _count_usage(usage: dict, items) -> None:
     for item in items:
         if type(item) is str:
@@ -181,21 +199,10 @@ def run_move(
     state.usage = usage
     steps = iter(plan)
     try:
-        # Instructions first: literals are rare in programs.
-        for step in steps:
-            kind = type(step)
-            if kind is FunctionType:
-                step(state, ctx)
-            elif kind is float:
-                state.floats.append(step)
-            elif kind is int:
-                state.integers.append(step)
-            else:
-                state.booleans.append(step)
+        run_steps(state, ctx, steps)
     except BaseException:
-        # The iterator has handed out every step up to the raising one. The
-        # loop counts that item as a step and leaves the items after it on
-        # the exec stack.
+        # The loop counts the raising item as a step and leaves the items
+        # after it on the exec stack.
         ran = len(plan) - length_hint(steps)
         state.steps_used = ran
         state.exec.extend(reversed(items[ran:]))
@@ -207,6 +214,8 @@ def run_move(
     if usage is not None:
         _count_usage(usage, items[:ran])
     if ran < len(items):
-        state.exec.extend(reversed(items[ran:]))
+        # The cached tail follows a whole plan; a plan the limit cut short
+        # leaves more items, which the loop then does not run.
+        state.exec.extend(program.tail if plan is program.plan else reversed(items[ran:]))
         _run_exec(state, ctx)
     return state

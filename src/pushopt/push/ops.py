@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from types import FunctionType
 
 import numpy as np
 
@@ -44,15 +44,36 @@ _WRAND_LIMIT = math.ldexp(float(np.finfo(np.float64).max), -1)
 REGISTRY: dict = {}
 
 
-@dataclass(frozen=True)
 class ExecGroup:
     """A grouped continuation on the exec stack.
 
     Groups exist only at runtime (loop expansions); they never appear in
     genomes. Executing a group unpacks its items so they run in list order.
+    A loop whose body cannot see the exec stack runs its iterations inside
+    the loop instruction and builds a group only when it stops early (see
+    ``_do_range``). Groups compare, hash, print and pickle by their items.
+    Instances carry no ``__dict__``: a loop left to the exec stack builds
+    one group per iteration.
     """
 
-    items: tuple
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
+
+    def __repr__(self):
+        return f"ExecGroup(items={self.items!r})"
+
+    def __reduce__(self):
+        return (ExecGroup, (self.items,))
 
 
 def instruction(name, touches_exec=False):
@@ -167,8 +188,12 @@ def _make_yank(attr, duplicate):
         if not ints or len(stack) < need:
             return False
         index = ints.pop()
-        depth = min(max(index, 0), len(stack) - 1)
-        pos = len(stack) - 1 - depth
+        top = len(stack) - 1
+        if index < 0:
+            index = 0
+        elif index > top:
+            index = top
+        pos = top - index
         if duplicate:
             stack.append(stack[pos])
         else:
@@ -188,9 +213,13 @@ def _make_shove(attr):
         if not ints or len(stack) < need:
             return False
         index = ints.pop()
-        depth = min(max(index, 0), len(stack) - 1)
+        top = len(stack) - 1
+        if index < 0:
+            index = 0
+        elif index > top:
+            index = top
         item = stack.pop()
-        stack.insert(len(stack) - depth, item)
+        stack.insert(top - index, item)
         return True
 
     return op
@@ -554,24 +583,112 @@ def _exec_iflt(state, ctx):
     return True
 
 
+def _body_plan(body):
+    """The plan of a loop body that cannot see the exec stack, or None.
+
+    A plain body is a literal, a name registered to a plain function that
+    is not ``touches_exec``, or a group of such items; a nested group is
+    not plain.
+    """
+    items = body.items if type(body) is ExecGroup else (body,)
+    plan = _interpreter.resolve_plan(items)
+    return plan if len(plan) == len(items) else None
+
+
+def _do_range(state, ctx, name, current, dest, body, entries=0):
+    # One entry of exec.do*range at index ``current``, run by the instruction
+    # ``name`` after it charged ``entries`` re-entries itself. Through the
+    # exec stack an iteration is the body, the unpack of the continuation
+    # group, its two integer literals and the re-entry. A plain body cannot
+    # see the exec stack, so while a whole iteration fits in the step limit
+    # it runs here with the same steps, stacks and usage counts; otherwise
+    # the continuation group and the body go on the exec stack.
+    ints = state.integers
+    ex = state.exec
+    ints.append(current)
+    laps = 0
+    if current != dest:
+        step = 1 if dest > current else -1
+        plan = _body_plan(body)
+        if plan is not None:
+            unpack = 1 if type(body) is ExecGroup else 0
+            cost = unpack + len(plan) + 4
+            steps = state.steps_used
+            limit = state.step_limit
+            run_steps = _interpreter.run_steps
+            body_steps = iter(())
+            try:
+                while steps + cost <= limit:
+                    body_steps = iter(plan)
+                    run_steps(state, ctx, body_steps)
+                    steps += cost
+                    laps += 1
+                    current += step
+                    ints.append(current)
+                    if current == dest:
+                        break
+            except BaseException:
+                # As the loop leaves it: the raising item is charged a step
+                # but not counted as used, and the continuation and the
+                # group's unrun items stay on the exec stack. The caller
+                # does not count this instruction's use, so it is counted
+                # here.
+                ran = len(plan) - operator.length_hint(body_steps)
+                state.steps_used = steps + unpack + ran
+                ex.append(ExecGroup((current + step, dest, "exec.do*range", body)))
+                if unpack:
+                    ex.extend(reversed(body.items[ran:]))
+                if state.usage is not None:
+                    done = body.items[: ran - 1] if unpack else ()
+                    _count_loop(state.usage, name, 1, entries + laps, body, laps, done)
+                raise
+            state.steps_used = steps
+    if current == dest:
+        ex.append(body)
+    else:
+        ex.append(ExecGroup((current + step, dest, "exec.do*range", body)))
+        ex.append(body)
+    if state.usage is not None and (laps or entries):
+        _count_loop(state.usage, name, 0, entries + laps, body, laps, ())
+    return True
+
+
+def _count_loop(usage, name, own, reentries, body, laps, partial):
+    # Usage counts, in the order the loop first counts each name: the
+    # instruction (counted by its caller unless it raised), the re-entries,
+    # then the body's names for whole and partial iterations.
+    usage[name] = usage.get(name, 0) + own
+    usage["exec.do*range"] = usage.get("exec.do*range", 0) + reentries
+    if laps:
+        for item in body.items if type(body) is ExecGroup else (body,):
+            if type(item) is str:
+                usage[item] = usage.get(item, 0) + laps
+    for item in partial:
+        if type(item) is str:
+            usage[item] = usage.get(item, 0) + 1
+
+
+def _enter_loop(state, ctx, name, n, body):
+    # exec.do*count and exec.do*times: the loop group's unpack, its two
+    # literals and the first re-entry run at once when those 4 steps fit.
+    if state.steps_used + 4 > state.step_limit:
+        state.exec.append(ExecGroup((0, n - 1, "exec.do*range", body)))
+        return True
+    state.steps_used += 4
+    return _do_range(state, ctx, name, 0, n - 1, body, entries=1)
+
+
 @instruction("exec.do*range", touches_exec=True)
 def _exec_do_range(state, ctx):
     # Top integer is the destination index, second the current index. The
     # body (next exec item) runs once per index with the index pushed to the
-    # integer stack; re-entry is a grouped continuation on the exec stack.
+    # integer stack; re-entry is a grouped continuation on the exec stack,
+    # or an iteration run in place that is charged the same (_do_range).
     if len(state.integers) < 2 or not state.exec:
         return False
     dest = state.integers.pop()
     current = state.integers.pop()
-    body = state.exec.pop()
-    state.integers.append(current)
-    if current == dest:
-        state.exec.append(body)
-    else:
-        step = 1 if dest > current else -1
-        state.exec.append(ExecGroup((current + step, dest, "exec.do*range", body)))
-        state.exec.append(body)
-    return True
+    return _do_range(state, ctx, "exec.do*range", current, dest, state.exec.pop())
 
 
 @instruction("exec.do*count", touches_exec=True)
@@ -579,10 +696,7 @@ def _exec_do_count(state, ctx):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
         return False
-    n = ints.pop()
-    body = state.exec.pop()
-    state.exec.append(ExecGroup((0, n - 1, "exec.do*range", body)))
-    return True
+    return _enter_loop(state, ctx, "exec.do*count", ints.pop(), state.exec.pop())
 
 
 @instruction("exec.do*times", touches_exec=True)
@@ -590,11 +704,8 @@ def _exec_do_times(state, ctx):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
         return False
-    n = ints.pop()
-    body = state.exec.pop()
-    hidden = ExecGroup(("integer.pop", body))
-    state.exec.append(ExecGroup((0, n - 1, "exec.do*range", hidden)))
-    return True
+    hidden = ExecGroup(("integer.pop", state.exec.pop()))
+    return _enter_loop(state, ctx, "exec.do*times", ints.pop(), hidden)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ class Program:
 
     def __reduce__(self):
         # The cached plan holds instruction closures, which do not pickle;
-        # a copy resolves its own.
+        # a copy resolves its own plan and tail.
         return (Program, (self.items,))
 
     @cached_property
@@ -60,6 +60,12 @@ class Program:
         """The straight-line prefix ``run_move`` runs without the exec
         stack (see ``interpreter.resolve_plan``); resolved on first use."""
         return resolve_plan(self.items)
+
+    @cached_property
+    def tail(self) -> tuple:
+        """The items after the plan, reversed: what ``run_move`` loads onto
+        the exec stack when the whole plan ran."""
+        return self.items[len(self.plan) :][::-1]
 
 
 def format_item(item) -> str:

@@ -767,3 +767,64 @@ def test_out_of_range_count_fails_cleanly(tmp_path, capsys, argv, config):
         argv = argv + ["--config", write_json(tmp_path / "config.json", {**base, **config})]
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Inline program text longer than a file name may be (255 bytes on common
+# filesystems).
+LONG_PROGRAM = "(" + " ".join(["float.abs"] * 30) + " 0.0 vector.wrand)"
+
+
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (["run", "--program", LONG_PROGRAM, "--function", "F1"], "results.csv"),
+        (["analyze", "simplify", "--program", LONG_PROGRAM, "--function", "F1", "--repeats", "2"], "simplified.txt"),
+        (["analyze", "reevaluate", "--programs", LONG_PROGRAM, "--functions", "F1", "--runs", "2"], "errors.csv"),
+    ],
+    ids=["run", "simplify", "reevaluate"],
+)
+def test_long_inline_program_is_parsed(tmp_path, capsys, argv, result):
+    assert len(LONG_PROGRAM.encode()) > 255
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--dim", "2", "--moves", "3", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / result).exists()
+
+
+def _bad_pool(tmp_path, payload):
+    return ["hybrid", "--pool", write_json(tmp_path / "pool.json", payload), "--function", "F1"]
+
+
+def _bad_pool_entry(tmp_path, payload):
+    path = write_json(tmp_path / "pool.json", payload)
+    return ["analyze", "reevaluate", "--pools", path, "--functions", "F1"]
+
+
+def _bad_checkpoint_line(tmp_path, payload):
+    path = tmp_path / "run.jsonl"
+    line = json.dumps({"fitness": 0.5, "program": "(0.0 vector.wrand)"})
+    path.write_text(line + "\n" + json.dumps(payload) + "\n")
+    return ["analyze", "usage", "--checkpoints", str(path)]
+
+
+@pytest.mark.parametrize(
+    "build, payload, message",
+    [
+        (_bad_pool, {"pool": []}, 'is not a JSON object with "programs"'),
+        (_bad_pool, [1, 2], 'is not a JSON object with "programs"'),
+        (_bad_pool, {"programs": 5}, '"programs" is not a JSON list'),
+        (_bad_pool_entry, {"programs": [{"fitness": 1.0}]}, 'entry 0 is not a JSON object with "program"'),
+        (_bad_checkpoint_line, {"fitness": 1.0}, 'run.jsonl:2 is not a JSON object with "program" and "fitness"'),
+    ],
+    ids=[
+        "pool-without-programs", "pool-list", "programs-not-list", "pool-entry-without-program",
+        "checkpoint-without-program",
+    ],
+)
+def test_malformed_pool_or_checkpoint_fails_cleanly(tmp_path, capsys, build, payload, message):
+    argv = build(tmp_path, payload)
+    assert run_cli(*argv, "--dim", "2", "--moves", "3", "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
