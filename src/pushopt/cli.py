@@ -188,10 +188,14 @@ def _run_config(params: dict, record: bool) -> RunConfig:
     )
 
 
-def _load_program_arg(value) -> Program:
+def _is_inline(value: str) -> bool:
     # Inline text is told apart before the filesystem is asked: text longer
     # than a file name would make the probe itself fail.
-    if value.lstrip().startswith("("):
+    return value.lstrip().startswith("(")
+
+
+def _load_program_arg(value) -> Program:
+    if _is_inline(value):
         return parse_program(value)
     path = Path(value)
     if path.exists():
@@ -299,6 +303,15 @@ def cmd_hybrid(params: dict, out_dir: Path) -> None:
     hybrid.write_pool_manifest(pool, out_dir / "pool.json")
 
 
+def _unique_label(taken, label: str, entry) -> str:
+    """``label``, or the full ``entry`` when an earlier input took it."""
+    if label not in taken:
+        return label
+    if str(entry) in taken:
+        raise CliError(f"input given twice: {entry}")
+    return str(entry)
+
+
 def _collect_checkpoints(entries) -> dict:
     """Map a unique label to checkpoint files for each given path."""
     groups = {}
@@ -314,9 +327,7 @@ def _collect_checkpoints(entries) -> dict:
             label = path.stem
         else:
             raise CliError(f"checkpoint path not found: {path}")
-        if label in groups:
-            label = str(path)
-        groups[label] = files
+        groups[_unique_label(groups, label, path)] = files
     return groups
 
 
@@ -373,11 +384,12 @@ def cmd_analyze_simplify(params: dict, out_dir: Path) -> None:
 def cmd_analyze_reevaluate(params: dict, out_dir: Path) -> None:
     """Error table over problems."""
     _require(params, ["functions", "D"], "analyze reevaluate")
-    optimisers = []
-    for entry in params["programs"]:
-        optimisers.append((Path(entry).stem, _load_program_arg(entry)))
+    optimisers = {}
+    for k, entry in enumerate(params["programs"], 1):
+        label = f"inline_{k}" if _is_inline(entry) else Path(entry).stem
+        optimisers[_unique_label(optimisers, label, entry)] = _load_program_arg(entry)
     for entry in params["pools"]:
-        optimisers.append((Path(entry).stem, hybrid.load_pool_manifest(entry)))
+        optimisers[_unique_label(optimisers, Path(entry).stem, entry)] = hybrid.load_pool_manifest(entry)
     if not optimisers:
         raise CliError("analyze reevaluate requires at least one program or pool")
     functions = [
@@ -385,7 +397,7 @@ def cmd_analyze_reevaluate(params: dict, out_dir: Path) -> None:
         for fid in params["functions"]
     ]
     report = analysis.reevaluate(
-        optimisers,
+        list(optimisers.items()),
         functions,
         _run_config(params, record=False),
         runs=int(params["runs"]),

@@ -47,6 +47,10 @@ class EvolutionConfig:
             raise ValueError("population size must be >= 1")
         if self.tournament_size < 1:
             raise ValueError("tournament size must be >= 1")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
+        if self.size_limit < 1:
+            raise ValueError("size limit must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,18 @@ def _record(record, where: str, keys: tuple) -> dict:
     return record
 
 
+def _program(record: dict, where: str) -> Program:
+    """The program of ``record``; a ValueError that names ``where`` if its
+    text does not parse."""
+    text = record["program"]
+    if not isinstance(text, str):
+        raise ValueError(f'{where}: "program" is not a JSON string')
+    try:
+        return parse_program(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def read_checkpoint(path) -> list:
     """Read (fitness, program text) entries from a JSONL checkpoint file."""
     entries = []
@@ -114,10 +126,11 @@ def read_checkpoint(path) -> list:
             if not line:
                 continue
             source = f"{path}:{line_no + 1}"
-            record = _record(json.loads(line), f"checkpoint line {source}", ("program", "fitness"))
+            where = f"checkpoint line {source}"
+            record = _record(json.loads(line), where, ("program", "fitness"))
             entries.append(
                 PoolEntry(
-                    program=parse_program(record["program"]),
+                    program=_program(record, where),
                     fitness=float(record["fitness"]),
                     source=source,
                 )
@@ -168,10 +181,11 @@ def load_pool_manifest(path) -> Pool:
         raise ValueError(f'pool manifest {path}: "programs" is not a JSON list')
     entries = []
     for i, record in enumerate(records):
-        record = _record(record, f"pool manifest {path} entry {i}", ("program",))
+        where = f"pool manifest {path} entry {i}"
+        record = _record(record, where, ("program",))
         entries.append(
             PoolEntry(
-                program=parse_program(record["program"]),
+                program=_program(record, where),
                 fitness=float(record.get("fitness", 0.0)),
                 source=str(record.get("source", f"{path}:{i}")),
             )

@@ -77,16 +77,17 @@ def run_single_item(state: InterpreterState, ctx, item) -> None:
     """Run one item to completion on a private exec stack.
 
     Used by instructions that take a code argument; shares the caller's step
-    budget so nested execution cannot exceed the move limit. Steps, stacks,
-    usage counts and exceptions are those of running ``[item]`` through the
-    loop. A name registered to a plain function runs as one counted step
-    without the loop; one flagged ``touches_exec`` sees an empty private
-    exec stack, as it would there. Literals, groups, unknown names and other
-    registered callables run through the loop.
+    budget so nested execution cannot exceed the move limit. Steps, stacks
+    and exceptions are those of running ``[item]`` through the loop. While
+    usage is not counted, a name registered to a plain function runs as one
+    step without the loop, and one flagged ``touches_exec`` sees an empty
+    private exec stack, as it would there. Everything else, and every item
+    while ``state.usage`` is counted, runs through the loop, which alone
+    counts usage.
     """
-    fn = REGISTRY.get(item) if type(item) is str else None
+    fn = REGISTRY.get(item) if type(item) is str and state.usage is None else None
+    saved = state.exec
     if type(fn) is not FunctionType:
-        saved = state.exec
         state.exec = [item]
         try:
             _run_exec(state, ctx)
@@ -97,18 +98,12 @@ def run_single_item(state: InterpreterState, ctx, item) -> None:
     if steps >= state.step_limit:
         return
     state.steps_used = steps + 1
-    usage = state.usage
     if not fn.touches_exec:
         fn(state, ctx)
-        if usage is not None:
-            usage[item] = usage.get(item, 0) + 1
         return
-    saved = state.exec
     state.exec = []
     try:
         fn(state, ctx)
-        if usage is not None:
-            usage[item] = usage.get(item, 0) + 1
         # Whatever the instruction left on the private stack runs as it
         # would in the loop.
         if state.exec:
@@ -161,12 +156,6 @@ def run_steps(state: InterpreterState, ctx, steps) -> None:
             state.booleans.append(step)
 
 
-def _count_usage(usage: dict, items) -> None:
-    for item in items:
-        if type(item) is str:
-            usage[item] = usage.get(item, 0) + 1
-
-
 def run_move(
     state: InterpreterState,
     program,
@@ -182,16 +171,18 @@ def run_move(
     persist between moves. The caller enters ``instruction_errstate``, as
     ``run_with_source`` does once around all of its moves.
 
-    The items of ``program.plan`` run first, in program order and without
-    the exec stack, which none of them can see; the remaining items are then
-    loaded onto the exec stack for the general loop. Step counts, leftover
-    exec items and usage counts are those of running every item through the
-    loop, also when the limit cuts the plan short or an instruction raises.
+    While ``usage`` is None, the items of ``program.plan`` run first, in
+    program order and without the exec stack, which none of them can see;
+    the remaining items are then loaded onto the exec stack for the general
+    loop. Step counts and leftover exec items are those of running every
+    item through the loop, also when the limit cuts the plan short or an
+    instruction raises. A ``usage`` dict is counted by the general loop
+    alone, so with one every item runs through it.
     """
     if limit <= 0:
         raise ValueError("execution limit must be positive")
     items = program.items
-    plan = program.plan
+    plan = program.plan if usage is None else ()
     if len(plan) > limit:
         plan = plan[:limit]
     state.exec.clear()
@@ -206,13 +197,9 @@ def run_move(
         ran = len(plan) - length_hint(steps)
         state.steps_used = ran
         state.exec.extend(reversed(items[ran:]))
-        if usage is not None:
-            _count_usage(usage, items[: ran - 1])
         raise
     ran = len(plan)
     state.steps_used = ran
-    if usage is not None:
-        _count_usage(usage, items[:ran])
     if ran < len(items):
         # The cached tail follows a whole plan; a plan the limit cut short
         # leaves more items, which the loop then does not run.

@@ -49,11 +49,11 @@ class ExecGroup:
 
     Groups exist only at runtime (loop expansions); they never appear in
     genomes. Executing a group unpacks its items so they run in list order.
-    A loop whose body cannot see the exec stack runs its iterations inside
-    the loop instruction and builds a group only when it stops early (see
-    ``_do_range``). Groups compare, hash, print and pickle by their items.
-    Instances carry no ``__dict__``: a loop left to the exec stack builds
-    one group per iteration.
+    While usage is not counted, a loop whose body cannot see the exec stack
+    runs its iterations inside the loop instruction and builds a group only
+    when it stops early (see ``_do_range``). Groups compare, hash, print
+    and pickle by their items. Instances carry no ``__dict__``: a loop left
+    to the exec stack builds one group per iteration.
     """
 
     __slots__ = ("items",)
@@ -595,21 +595,20 @@ def _body_plan(body):
     return plan if len(plan) == len(items) else None
 
 
-def _do_range(state, ctx, name, current, dest, body, entries=0):
-    # One entry of exec.do*range at index ``current``, run by the instruction
-    # ``name`` after it charged ``entries`` re-entries itself. Through the
-    # exec stack an iteration is the body, the unpack of the continuation
-    # group, its two integer literals and the re-entry. A plain body cannot
-    # see the exec stack, so while a whole iteration fits in the step limit
-    # it runs here with the same steps, stacks and usage counts; otherwise
-    # the continuation group and the body go on the exec stack.
+def _do_range(state, ctx, current, dest, body):
+    # One entry of exec.do*range at index ``current``. Through the exec
+    # stack an iteration is the body, the unpack of the continuation group,
+    # its two integer literals and the re-entry. A plain body cannot see the
+    # exec stack, so while usage is not counted and a whole iteration fits
+    # in the step limit it runs here with the same steps and stacks;
+    # otherwise the continuation group and the body go on the exec stack,
+    # where the loop counts their usage.
     ints = state.integers
     ex = state.exec
     ints.append(current)
-    laps = 0
     if current != dest:
         step = 1 if dest > current else -1
-        plan = _body_plan(body)
+        plan = _body_plan(body) if state.usage is None else None
         if plan is not None:
             unpack = 1 if type(body) is ExecGroup else 0
             cost = unpack + len(plan) + 4
@@ -622,25 +621,19 @@ def _do_range(state, ctx, name, current, dest, body, entries=0):
                     body_steps = iter(plan)
                     run_steps(state, ctx, body_steps)
                     steps += cost
-                    laps += 1
                     current += step
                     ints.append(current)
                     if current == dest:
                         break
             except BaseException:
-                # As the loop leaves it: the raising item is charged a step
-                # but not counted as used, and the continuation and the
-                # group's unrun items stay on the exec stack. The caller
-                # does not count this instruction's use, so it is counted
-                # here.
+                # As the loop leaves it: the raising item is charged a step,
+                # and the continuation and the group's unrun items stay on
+                # the exec stack.
                 ran = len(plan) - operator.length_hint(body_steps)
                 state.steps_used = steps + unpack + ran
                 ex.append(ExecGroup((current + step, dest, "exec.do*range", body)))
                 if unpack:
                     ex.extend(reversed(body.items[ran:]))
-                if state.usage is not None:
-                    done = body.items[: ran - 1] if unpack else ()
-                    _count_loop(state.usage, name, 1, entries + laps, body, laps, done)
                 raise
             state.steps_used = steps
     if current == dest:
@@ -648,34 +641,18 @@ def _do_range(state, ctx, name, current, dest, body, entries=0):
     else:
         ex.append(ExecGroup((current + step, dest, "exec.do*range", body)))
         ex.append(body)
-    if state.usage is not None and (laps or entries):
-        _count_loop(state.usage, name, 0, entries + laps, body, laps, ())
     return True
 
 
-def _count_loop(usage, name, own, reentries, body, laps, partial):
-    # Usage counts, in the order the loop first counts each name: the
-    # instruction (counted by its caller unless it raised), the re-entries,
-    # then the body's names for whole and partial iterations.
-    usage[name] = usage.get(name, 0) + own
-    usage["exec.do*range"] = usage.get("exec.do*range", 0) + reentries
-    if laps:
-        for item in body.items if type(body) is ExecGroup else (body,):
-            if type(item) is str:
-                usage[item] = usage.get(item, 0) + laps
-    for item in partial:
-        if type(item) is str:
-            usage[item] = usage.get(item, 0) + 1
-
-
-def _enter_loop(state, ctx, name, n, body):
-    # exec.do*count and exec.do*times: the loop group's unpack, its two
-    # literals and the first re-entry run at once when those 4 steps fit.
-    if state.steps_used + 4 > state.step_limit:
+def _enter_loop(state, ctx, n, body):
+    # exec.do*count and exec.do*times: while usage is not counted, the loop
+    # group's unpack, its two literals and the first re-entry run at once
+    # when those 4 steps fit.
+    if state.usage is not None or state.steps_used + 4 > state.step_limit:
         state.exec.append(ExecGroup((0, n - 1, "exec.do*range", body)))
         return True
     state.steps_used += 4
-    return _do_range(state, ctx, name, 0, n - 1, body, entries=1)
+    return _do_range(state, ctx, 0, n - 1, body)
 
 
 @instruction("exec.do*range", touches_exec=True)
@@ -688,7 +665,7 @@ def _exec_do_range(state, ctx):
         return False
     dest = state.integers.pop()
     current = state.integers.pop()
-    return _do_range(state, ctx, "exec.do*range", current, dest, state.exec.pop())
+    return _do_range(state, ctx, current, dest, state.exec.pop())
 
 
 @instruction("exec.do*count", touches_exec=True)
@@ -696,7 +673,7 @@ def _exec_do_count(state, ctx):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
         return False
-    return _enter_loop(state, ctx, "exec.do*count", ints.pop(), state.exec.pop())
+    return _enter_loop(state, ctx, ints.pop(), state.exec.pop())
 
 
 @instruction("exec.do*times", touches_exec=True)
@@ -705,7 +682,7 @@ def _exec_do_times(state, ctx):
     if not ints or not state.exec or ints[-1] <= 0:
         return False
     hidden = ExecGroup(("integer.pop", state.exec.pop()))
-    return _enter_loop(state, ctx, "exec.do*times", ints.pop(), hidden)
+    return _enter_loop(state, ctx, ints.pop(), hidden)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,24 @@ def test_analyze_reevaluate_grid(tmp_path):
     assert len(per_run) == 1 + 2 * 5 * 3
 
 
+def test_reevaluate_labels_inline_programs_by_position(tmp_path, capsys):
+    # Inline text is labelled by its place in --programs and files by their
+    # stems; a stem already taken falls back to the full entry, and an
+    # entry given again after that is refused.
+    (tmp_path / "a").mkdir()
+    first, second = tmp_path / "origin.txt", tmp_path / "a" / "origin.txt"
+    for path in (first, second):
+        path.write_text("(0.0 vector.wrand)\n")
+    argv = ["analyze", "reevaluate", "--functions", "F1", "--dim", "2", "--runs", "2", "--moves", "3"]
+    programs = ["(0.0 vector.wrand float./ float.abs)", str(first), "(0.0 vector.wrand)", str(second)]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--programs", *programs, "--out", str(out)) == 0
+    labels = [line.split(",")[0] for line in (out / "errors.csv").read_text().splitlines()[1:]]
+    assert labels == ["inline_1", "origin", "inline_3", str(second)]
+    assert run_cli(*argv, "--programs", *[str(first)] * 3, "--out", str(tmp_path / "twice")) == 1
+    assert capsys.readouterr().err == f"error: input given twice: {first}\n"
+
+
 def test_evolve_checkpoints_feed_hybrid(tmp_path, tiny_evolve_config):
     out = tmp_path / "evolved"
     assert run_cli("evolve", "--config", tiny_evolve_config, "--out", str(out)) == 0
@@ -753,9 +771,11 @@ def test_usage_top_below_one_fails_cleanly(tmp_path, capsys, mode, top):
         (["evolve"], {"tournament": 0}),
         (["evolve", "--jobs", "0"], {}),
         (["evolve", "--jobs", "-3"], {}),
+        (["evolve"], {"gens": -1}),
+        (["evolve"], {"size_limit": 0}),
     ],
     ids=["reevaluate-runs-0", "reevaluate-jobs-0", "reevaluate-jobs-neg", "evolve-tournament-0",
-         "evolve-jobs-0", "evolve-jobs-neg"],
+         "evolve-jobs-0", "evolve-jobs-neg", "evolve-gens-neg", "evolve-size-limit-0"],
 )
 def test_out_of_range_count_fails_cleanly(tmp_path, capsys, argv, config):
     if config is None:
@@ -815,10 +835,16 @@ def _bad_checkpoint_line(tmp_path, payload):
         (_bad_pool, {"programs": 5}, '"programs" is not a JSON list'),
         (_bad_pool_entry, {"programs": [{"fitness": 1.0}]}, 'entry 0 is not a JSON object with "program"'),
         (_bad_checkpoint_line, {"fitness": 1.0}, 'run.jsonl:2 is not a JSON object with "program" and "fitness"'),
+        (_bad_pool_entry, {"programs": [{"program": "(float.abs no.such)"}]},
+         "pool.json entry 0: unknown instruction: no.such"),
+        (_bad_pool_entry, {"programs": [{"program": 5}]}, 'pool.json entry 0: "program" is not a JSON string'),
+        (_bad_checkpoint_line, {"fitness": 1.0, "program": "(float.abs no.such)"},
+         "run.jsonl:2: unknown instruction: no.such"),
     ],
     ids=[
         "pool-without-programs", "pool-list", "programs-not-list", "pool-entry-without-program",
-        "checkpoint-without-program",
+        "checkpoint-without-program", "pool-entry-unparseable", "pool-entry-not-text",
+        "checkpoint-unparseable",
     ],
 )
 def test_malformed_pool_or_checkpoint_fails_cleanly(tmp_path, capsys, build, payload, message):

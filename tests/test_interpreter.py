@@ -57,19 +57,25 @@ def test_exec_stack_reloaded_each_move():
 def test_loop_halts_exactly_at_limit():
     # A 500-iteration loop under a limit of 100 counts exactly 100
     # executions, then halts; unbounded execution works through all 500
-    # iterations (oracle: body execution count via the usage tally).
+    # iterations (oracle: body execution count via the usage tally, in a
+    # run that counts usage and so re-enters through the exec stack).
     program = parse_program("(500 exec.do*times float.rand)")
-    st = fresh_state(seed=1)
-    run_move(st, program, limit=100)
-    assert st.steps_used == 100
-    assert len(st.floats) < 500
+    for usage in (None, {}):
+        st = fresh_state(seed=1)
+        run_move(st, program, limit=100, usage=usage)
+        assert st.steps_used == 100
+        assert len(st.floats) < 500
 
     unbounded = fresh_state(seed=1)
-    usage = {}
-    run_move(unbounded, program, limit=10_000_000, usage=usage)
-    assert usage["float.rand"] == 500
+    run_move(unbounded, program, limit=10_000_000)
     assert len(unbounded.floats) == 500
     assert unbounded.steps_used > 100
+    counted = fresh_state(seed=1)
+    usage = {}
+    run_move(counted, program, limit=10_000_000, usage=usage)
+    assert usage["float.rand"] == 500
+    assert counted.floats == unbounded.floats
+    assert counted.steps_used == unbounded.steps_used
 
 
 def test_limit_counts_nested_body_runs():

@@ -1,7 +1,8 @@
 """Counted loops: ``exec.do*range``, ``exec.do*count`` and ``exec.do*times``
 run the iterations of a body that cannot see the exec stack inside the
-instruction, and must leave exactly what re-entry through an ``ExecGroup``
-on the exec stack leaves."""
+instruction while usage is not counted, and must leave exactly what re-entry
+through an ``ExecGroup`` on the exec stack leaves. While usage is counted
+they re-enter, and count it as the reference does."""
 
 import pickle
 import struct
@@ -115,12 +116,26 @@ def _bits(value):
     return (kind, value)
 
 
-def _outcome(state, usage, error):
-    # Everything a move leaves: stacks by bits, leftover exec items, steps,
-    # usage counts in the order they were first counted, the RNG state and
-    # the exception.
+def _outcome(state, error):
+    # Everything a move leaves but usage counts: stacks by bits, leftover
+    # exec items, steps, the RNG state and the exception.
     stacks = [[_bits(v) for v in stack] for stack in state.stack_snapshot()]
-    return stacks, state.steps_used, list(usage.items()), state.rng.bit_generator.state, error
+    return stacks, state.steps_used, state.rng.bit_generator.state, error
+
+
+# (counting, reference) of the three runs compared: the live instructions
+# without counting, which take the in-place paths, the live instructions
+# while usage is counted, and the reference ones.
+RUNS = ((False, False), (True, False), (True, True))
+
+
+def _assert_same(outcomes, counts, where):
+    # Every run leaves what the reference leaves, and usage is counted as
+    # the reference counts it, in the order each name was first counted.
+    live, counted, reference = outcomes
+    assert live == reference, where
+    assert counted == reference, where
+    assert list(counts[1].items()) == list(counts[2].items()), where
 
 
 def _run(runner, state, *args):
@@ -140,28 +155,27 @@ def _new_state(dim, seed, points):
 
 
 def assert_same_moves(items, dim, limit, seed, moves=6):
-    """Run ``items`` move by move through ``run_move`` on two identical
-    states, with the live loop instructions and with the reference ones,
-    and compare everything after every move."""
+    """Run ``items`` move by move through ``run_move`` on three identical
+    states (see ``RUNS``) and compare everything after every move."""
     rng = np.random.default_rng(seed)
     points = [rng.uniform(-5.0, 5.0, dim) for _ in range(3)]
     ctx = SwarmContext(points, points[::-1], 1)
-    live, reference = (_new_state(dim, seed, points) for _ in range(2))
-    # Separate programs, so that neither reuses a plan resolved for the
-    # other.
-    live_program, reference_program = Program(tuple(items)), Program(tuple(items))
+    states = [_new_state(dim, seed, points) for _ in RUNS]
+    # Separate programs, so that none reuses a plan resolved for another.
+    programs = [Program(tuple(items)) for _ in RUNS]
     for move in range(1, moves + 1):
-        outcomes = []
-        for state, program, swap in ((live, live_program, False), (reference, reference_program, True)):
+        outcomes, counts = [], []
+        for state, program, (counting, swap) in zip(states, programs, RUNS):
             state.integers.extend([move, 3, 0])
-            usage = {}
+            usage = {} if counting else None
             with _loops(swap):
                 error = _run(run_move, state, program, ctx, limit, usage)
-            outcomes.append(_outcome(state, usage, error))
-        assert outcomes[0] == outcomes[1], f"move {move}"
+            outcomes.append(_outcome(state, error))
+            counts.append(usage)
+        _assert_same(outcomes, counts, f"move {move}")
         if outcomes[0][-1] is not None:
             return
-        for state in (live, reference):
+        for state in states:
             state.floats.append(float(move))
             if not state.vectors:
                 state.vectors.append(points[0])
@@ -248,28 +262,30 @@ def test_group_bodies_run_as_with_re_entry(kind):
 
 
 def _assert_same_stack_run(items, dim, limit):
-    outcomes = []
-    for swap in (False, True):
+    outcomes, counts = [], []
+    for counting, swap in RUNS:
         state = InterpreterState(dim=dim, rng=np.random.default_rng(dim))
         state.vectors.append(np.linspace(-1.0, 1.0, dim))
         state.floats.append(0.5)
         state.exec.extend(reversed(items))
         state.step_limit = limit
-        state.usage = usage = {"float.abs": 1}
+        state.usage = usage = {"float.abs": 1} if counting else None
         with _loops(swap):
             error = _run(_run_exec, state, None)
-        outcomes.append(_outcome(state, usage, error))
-    assert outcomes[0] == outcomes[1], (limit, dim)
+        outcomes.append(_outcome(state, error))
+        counts.append(usage)
+    _assert_same(outcomes, counts, (limit, dim))
 
 
 def test_iterations_in_place_are_charged_as_re_entries():
     # 4 iterations of a one-item body, each 5 steps, plus the instruction,
-    # its two literals and the last body.
-    state = InterpreterState(dim=1, rng=np.random.default_rng(0))
-    usage = {}
-    run_move(state, Program((1, 5, "exec.do*range", "float.abs")), limit=100, usage=usage)
-    assert state.steps_used == 3 + 4 * 5 + 1
-    assert state.integers == [1, 2, 3, 4, 5]
+    # its two literals and the last body: run in place without counting,
+    # through the exec stack with it.
+    for usage in (None, {}):
+        state = InterpreterState(dim=1, rng=np.random.default_rng(0))
+        run_move(state, Program((1, 5, "exec.do*range", "float.abs")), limit=100, usage=usage)
+        assert state.steps_used == 3 + 4 * 5 + 1
+        assert state.integers == [1, 2, 3, 4, 5]
     assert usage == {"exec.do*range": 5, "float.abs": 5}
     # A limit one step short of the third iteration leaves it to the exec
     # stack, where the limit cuts it before the re-entry.

@@ -1,6 +1,6 @@
-"""Execution plans: ``run_move`` runs a program's straight-line prefix
-without the exec stack, and must leave exactly what the general loop
-leaves."""
+"""Execution plans: while usage is not counted, ``run_move`` runs a
+program's straight-line prefix without the exec stack, and must leave
+exactly what the general loop leaves."""
 
 import hashlib
 import pickle
@@ -75,38 +75,41 @@ def _snapshot(state):
     )
 
 
-def _attempt(runner, state, program, ctx, limit):
-    usage = {}
+def _attempt(runner, state, program, ctx, limit, usage):
     try:
         runner(state, program, ctx, limit, usage)
-    except Exception as exc:  # compared between the two paths
-        return usage, (type(exc), str(exc))
-    return usage, None
+    except Exception as exc:  # compared between the paths
+        return type(exc), str(exc)
+    return None
 
 
 def assert_same_moves(program, dim, limit, seed, moves=8):
-    """Run ``program`` move by move on two identical states, one through
-    ``run_move`` and one through the loop alone, with harness-like feedback
-    between moves, and compare everything after every move."""
+    """Run ``program`` move by move on three identical states, with
+    harness-like feedback between moves, and compare everything after every
+    move: ``run_move`` without counting, which runs the plan, ``run_move``
+    while usage is counted, and the loop alone, counting usage."""
     rng = np.random.default_rng(seed)
     points = [rng.uniform(-5.0, 5.0, dim) for _ in range(3)]
     ctx = SwarmContext(points, points[::-1], 1)
     states = []
-    for _ in range(2):
+    for _ in range(3):
         state = InterpreterState(dim=dim, rng=np.random.default_rng(seed), inputs=(-5.0, 5.0))
         state.vectors.append(points[1])
         state.floats.append(2.5)
         state.booleans.append(True)
         states.append(state)
-    planned, looped = states
+    planned, counted, looped = states
     for move in range(1, moves + 1):
         for state in states:
             state.integers.extend([move, 1, 0])
-        got = _attempt(run_move, planned, program, ctx, limit)
-        want = _attempt(loop_move, looped, program, ctx, limit)
-        assert got == want, f"move {move}"
+        usage, want_usage = {}, {}
+        want = _attempt(loop_move, looped, program, ctx, limit, want_usage)
+        assert _attempt(run_move, planned, program, ctx, limit, None) == want, f"move {move}"
+        assert _attempt(run_move, counted, program, ctx, limit, usage) == want, f"move {move}"
+        assert usage == want_usage, f"move {move}"
         assert _snapshot(planned) == _snapshot(looped), f"move {move}"
-        if want[1] is not None:
+        assert _snapshot(counted) == _snapshot(looped), f"move {move}"
+        if want is not None:
             return
         for state in states:
             state.booleans.append(move % 2 == 0)
@@ -238,16 +241,17 @@ def test_touches_exec_marks_exactly_the_instructions_that_touch_it():
 )
 def test_bad_item_raises_after_earlier_items(items, error):
     # The items before the bad one run; the error leaves the step count and
-    # the exec stack the loop leaves. A limit before the bad item stops the
-    # move without an error.
+    # the exec stack the loop leaves, without counting usage and while
+    # counting it. A limit before the bad item stops the move without an
+    # error.
     program = Program(items)
-    state = InterpreterState(dim=2, rng=np.random.default_rng(0))
-    usage = {}
-    with pytest.raises(error):
-        run_move(state, program, usage=usage)
-    assert state.steps_used == 3
-    assert state.exec == [3]
-    assert state.integers == ([1, 2] if error is UnknownInstructionError else [1, 1])
+    for usage in (None, {}):
+        state = InterpreterState(dim=2, rng=np.random.default_rng(0))
+        with pytest.raises(error):
+            run_move(state, program, usage=usage)
+        assert state.steps_used == 3
+        assert state.exec == [3]
+        assert state.integers == ([1, 2] if error is UnknownInstructionError else [1, 1])
     assert usage == ({"integer.dup": 1} if "integer.dup" in items else {})
     for limit in (1, 2, 3, 100):
         assert_same_moves(program, 2, limit, seed=0, moves=2)
@@ -263,17 +267,18 @@ _raises.touches_exec = False
 
 def test_raise_inside_the_plan_leaves_what_the_loop_leaves(monkeypatch):
     # A plain instruction that raises after changing a stack; it sits inside
-    # the plan, after an instruction whose use is counted.
+    # the plan, after an instruction whose use is counted. The plan runs
+    # only without counting; the second run counts.
     monkeypatch.setitem(REGISTRY, "test.raise", _raises)
     program = Program((1, "integer.dup", 2.5, "test.raise", 3, "integer.+"))
     assert len(program.plan) == len(program)
-    state = InterpreterState(dim=2, rng=np.random.default_rng(0))
-    usage = {}
-    with pytest.raises(OverflowError):
-        run_move(state, program, usage=usage)
-    assert state.steps_used == 4
-    assert state.exec == ["integer.+", 3]
-    assert state.floats == [2.5, 1.5]
+    for usage in (None, {}):
+        state = InterpreterState(dim=2, rng=np.random.default_rng(0))
+        with pytest.raises(OverflowError):
+            run_move(state, program, usage=usage)
+        assert state.steps_used == 4
+        assert state.exec == ["integer.+", 3]
+        assert state.floats == [2.5, 1.5]
     assert usage == {"integer.dup": 1}
     assert_same_moves(program, 2, 100, seed=0, moves=1)
 
@@ -383,7 +388,8 @@ def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
     # registered callable that is not a plain function, a touches_exec
     # instruction that leaves items on its private exec stack and a plain
     # instruction that raises; on full and empty stacks, with steps to
-    # spare, with the last step and with none.
+    # spare, with the last step and with none; without counting usage,
+    # which takes the shortcut, and while counting it.
     negate = partial(REGISTRY["float.neg"])
     negate.touches_exec = False
     monkeypatch.setitem(REGISTRY, "test.partial", negate)
@@ -393,18 +399,22 @@ def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
     ctx = SwarmContext([point], [point], 0)
     for full in (True, False):
         for steps_used, limit in ((0, 100), (4, 5), (5, 5), (6, 5)):
-            outcomes = []
-            for runner in (run_single_item, loop_single_item):
+            outcomes, counts = [], []
+            for runner, counting in ((run_single_item, False), (run_single_item, True), (loop_single_item, True)):
                 state = _full_state() if full else InterpreterState(dim=3, rng=np.random.default_rng(0))
                 state.steps_used = steps_used
                 state.step_limit = limit
-                state.usage = {"float.neg": 1}
+                state.usage = {"float.neg": 1} if counting else None
                 caller_exec = state.exec
                 try:
                     runner(state, ctx, body)
                     error = None
-                except Exception as exc:  # compared between the two runners
+                except Exception as exc:  # compared between the runners
                     error = (type(exc), str(exc))
                 assert state.exec is caller_exec
-                outcomes.append((_snapshot(state), state.usage, error))
-            assert outcomes[0] == outcomes[1], (full, steps_used, limit)
+                outcomes.append((_snapshot(state), error))
+                counts.append(state.usage)
+            where = (full, steps_used, limit)
+            assert outcomes[0] == outcomes[2], where
+            assert outcomes[1] == outcomes[2], where
+            assert counts[1] == counts[2], where
