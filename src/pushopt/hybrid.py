@@ -139,7 +139,7 @@ def read_checkpoint(path) -> list:
 
 
 def build_pool(checkpoints, top_n: int = None) -> Pool:
-    """Assemble a pool from checkpoint files (or PoolEntry lists).
+    """Assemble a pool from checkpoint files.
 
     All entries across all checkpoints are candidates; they are ordered
     deterministically by (fitness, source) and the lowest-fitness ``top_n``
@@ -147,10 +147,7 @@ def build_pool(checkpoints, top_n: int = None) -> Pool:
     """
     candidates = []
     for checkpoint in checkpoints:
-        if isinstance(checkpoint, (list, tuple)):
-            candidates.extend(checkpoint)
-        else:
-            candidates.extend(read_checkpoint(checkpoint))
+        candidates.extend(read_checkpoint(checkpoint))
     candidates.sort(key=lambda e: (e.fitness, e.source))
     if top_n is not None:
         if top_n < 1:

@@ -1,4 +1,5 @@
-"""Bounded execution of programs against an interpreter state."""
+"""The instruction registry and the bounded execution of programs against an
+interpreter state."""
 
 from __future__ import annotations
 
@@ -7,8 +8,60 @@ from types import FunctionType
 
 import numpy as np
 
-from .ops import REGISTRY, ExecGroup
 from .state import DEFAULT_EXECUTION_LIMIT, InterpreterState, SwarmContext
+
+# Every instruction by name, in registration order (see ``ops``).
+REGISTRY: dict = {}
+
+
+class ExecGroup:
+    """A grouped continuation on the exec stack.
+
+    Groups exist only at runtime (loop expansions); they never appear in
+    genomes. Executing a group unpacks its items so they run in list order.
+    While usage is not counted, a loop whose body cannot see the exec stack
+    runs its iterations inside the loop instruction and builds a group only
+    when it stops early (see ``ops._do_range``). Groups compare, hash, print
+    and pickle by their items. Instances carry no ``__dict__``: a loop left
+    to the exec stack builds one group per iteration.
+    """
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
+
+    def __repr__(self):
+        return f"ExecGroup(items={self.items!r})"
+
+    def __reduce__(self):
+        return (ExecGroup, (self.items,))
+
+
+def instruction(name, touches_exec=False):
+    """Decorator registering an instruction under ``name``.
+
+    ``touches_exec`` marks an instruction that reads or changes the exec
+    stack, ``steps_used`` or ``step_limit``; the interpreter runs a
+    program's items without an exec stack only up to the first such
+    instruction.
+    """
+
+    def register(fn):
+        fn.push_name = name
+        fn.touches_exec = touches_exec
+        REGISTRY[name] = fn
+        return fn
+
+    return register
 
 
 class UnknownInstructionError(KeyError):

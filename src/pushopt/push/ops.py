@@ -1,5 +1,10 @@
 """The instruction set: every primitive, plus the default enabled set.
 
+Each instruction is registered in ``interpreter.REGISTRY`` where this module
+defines it, and that order is the order of the default instruction set,
+which random genomes index into: moving a registration, even one made
+through a factory defined earlier, changes what every seed evolves.
+
 Conventions shared by all instructions:
 
 - An instruction only executes when its operand stacks hold enough values;
@@ -29,69 +34,17 @@ from __future__ import annotations
 
 import math
 import operator
-from types import FunctionType
 
 import numpy as np
 
 from ..rng import uniform_int
+from .interpreter import REGISTRY, ExecGroup, instruction, resolve_plan, run_single_item, run_steps
 from .state import InterpreterState
 
 INT_LIMIT = 2**63 - 1
 
 # Largest float f for which the wrand interval [-f, f] has a finite width.
 _WRAND_LIMIT = math.ldexp(float(np.finfo(np.float64).max), -1)
-
-REGISTRY: dict = {}
-
-
-class ExecGroup:
-    """A grouped continuation on the exec stack.
-
-    Groups exist only at runtime (loop expansions); they never appear in
-    genomes. Executing a group unpacks its items so they run in list order.
-    While usage is not counted, a loop whose body cannot see the exec stack
-    runs its iterations inside the loop instruction and builds a group only
-    when it stops early (see ``_do_range``). Groups compare, hash, print
-    and pickle by their items. Instances carry no ``__dict__``: a loop left
-    to the exec stack builds one group per iteration.
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: tuple):
-        self.items = items
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self):
-        return hash((self.items,))
-
-    def __repr__(self):
-        return f"ExecGroup(items={self.items!r})"
-
-    def __reduce__(self):
-        return (ExecGroup, (self.items,))
-
-
-def instruction(name, touches_exec=False):
-    """Decorator registering an instruction under ``name``.
-
-    ``touches_exec`` marks an instruction that reads or changes the exec
-    stack, ``steps_used`` or ``step_limit``; the interpreter runs a
-    program's items without an exec stack only up to the first such
-    instruction.
-    """
-
-    def register(fn):
-        fn.push_name = name
-        fn.touches_exec = touches_exec
-        REGISTRY[name] = fn
-        return fn
-
-    return register
 
 
 def items_equal(a, b) -> bool:
@@ -298,20 +251,20 @@ def _boolean_not(state, ctx):
     return True
 
 
-@instruction("boolean.fromfloat")
-def _boolean_fromfloat(state, ctx):
-    if not state.floats:
-        return False
-    state.booleans.append(state.floats.pop() != 0.0)
-    return True
+def _convert(name, source, target, fn):
+    @instruction(name)
+    def op(state, ctx):
+        values = getattr(state, source)
+        if not values:
+            return False
+        getattr(state, target).append(fn(values.pop()))
+        return True
+
+    return op
 
 
-@instruction("boolean.frominteger")
-def _boolean_frominteger(state, ctx):
-    if not state.integers:
-        return False
-    state.booleans.append(state.integers.pop() != 0)
-    return True
+_convert("boolean.fromfloat", "floats", "booleans", bool)
+_convert("boolean.frominteger", "integers", "booleans", bool)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +312,14 @@ def _float_unary(name, fn):
     return op
 
 
-def _float_compare(name, fn):
+def _compare(name, stack, fn):
     @instruction(name)
     def op(state, ctx):
-        fs = state.floats
-        if len(fs) < 2:
+        values = getattr(state, stack)
+        if len(values) < 2:
             return False
-        b = fs.pop()
-        a = fs.pop()
+        b = values.pop()
+        a = values.pop()
         state.booleans.append(fn(a, b))
         return True
 
@@ -381,9 +334,9 @@ _float_binary("float.%", math.fmod)
 _float_binary("float.pow", math.pow)
 _float_binary("float.max", max)
 _float_binary("float.min", min)
-_float_compare("float.<", operator.lt)
-_float_compare("float.>", operator.gt)
-_float_compare("float.=", operator.eq)  # exact comparison by convention
+_compare("float.<", "floats", operator.lt)
+_compare("float.>", "floats", operator.gt)
+_compare("float.=", "floats", operator.eq)  # exact comparison by convention
 _float_unary("float.abs", abs)
 _float_unary("float.neg", operator.neg)
 _float_unary("float.sin", math.sin)
@@ -394,20 +347,8 @@ _float_unary("float.ln", math.log)
 _float_unary("float.log", math.log10)
 
 
-@instruction("float.fromboolean")
-def _float_fromboolean(state, ctx):
-    if not state.booleans:
-        return False
-    state.floats.append(1.0 if state.booleans.pop() else 0.0)
-    return True
-
-
-@instruction("float.frominteger")
-def _float_frominteger(state, ctx):
-    if not state.integers:
-        return False
-    state.floats.append(float(state.integers.pop()))
-    return True
+_convert("float.fromboolean", "booleans", "floats", float)
+_convert("float.frominteger", "integers", "floats", float)
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +389,6 @@ def _int_binary(name, fn):
     return op
 
 
-def _int_compare(name, fn):
-    @instruction(name)
-    def op(state, ctx):
-        ints = state.integers
-        if len(ints) < 2:
-            return False
-        b = ints.pop()
-        a = ints.pop()
-        state.booleans.append(fn(a, b))
-        return True
-
-    return op
-
-
 def _int_pow(a, b):
     r = math.pow(a, b)
     if not math.isfinite(r):
@@ -477,27 +404,25 @@ _int_binary("integer.%", _trunc_mod)
 _int_binary("integer.pow", _int_pow)
 _int_binary("integer.max", max)
 _int_binary("integer.min", min)
-_int_compare("integer.<", operator.lt)
-_int_compare("integer.>", operator.gt)
-_int_compare("integer.=", operator.eq)
+_compare("integer.<", "integers", operator.lt)
+_compare("integer.>", "integers", operator.gt)
+_compare("integer.=", "integers", operator.eq)
 
 
-@instruction("integer.abs")
-def _integer_abs(state, ctx):
-    ints = state.integers
-    if not ints:
-        return False
-    ints[-1] = abs(ints[-1])
-    return True
+def _int_unary(name, fn):
+    @instruction(name)
+    def op(state, ctx):
+        ints = state.integers
+        if not ints:
+            return False
+        ints[-1] = fn(ints[-1])
+        return True
+
+    return op
 
 
-@instruction("integer.neg")
-def _integer_neg(state, ctx):
-    ints = state.integers
-    if not ints:
-        return False
-    ints[-1] = -ints[-1]
-    return True
+_int_unary("integer.abs", abs)
+_int_unary("integer.neg", operator.neg)
 
 
 def _int_log(name, base_log):
@@ -517,12 +442,7 @@ _int_log("integer.ln", math.log)
 _int_log("integer.log", math.log10)
 
 
-@instruction("integer.fromboolean")
-def _integer_fromboolean(state, ctx):
-    if not state.booleans:
-        return False
-    state.integers.append(1 if state.booleans.pop() else 0)
-    return True
+_convert("integer.fromboolean", "booleans", "integers", int)
 
 
 @instruction("integer.fromfloat")
@@ -559,28 +479,28 @@ def _exec_eq(state, ctx):
     return True
 
 
-@instruction("exec.if", touches_exec=True)
-def _exec_if(state, ctx):
-    if not state.booleans or len(state.exec) < 2:
-        return False
-    condition = state.booleans.pop()
-    first = state.exec.pop()
-    second = state.exec.pop()
-    state.exec.append(first if condition else second)
-    return True
+def _exec_branch(name, stack, arity, test):
+    # Pops ``arity`` values of ``stack`` and the two top exec items, then
+    # puts back the top item when ``test`` of the values (deepest first)
+    # holds and the one below it otherwise.
+    @instruction(name, touches_exec=True)
+    def op(state, ctx):
+        values = getattr(state, stack)
+        ex = state.exec
+        if len(values) < arity or len(ex) < 2:
+            return False
+        args = values[-arity:]
+        del values[-arity:]
+        first = ex.pop()
+        second = ex.pop()
+        ex.append(first if test(*args) else second)
+        return True
+
+    return op
 
 
-@instruction("exec.iflt", touches_exec=True)
-def _exec_iflt(state, ctx):
-    # Branch on second < top of the float stack.
-    if len(state.floats) < 2 or len(state.exec) < 2:
-        return False
-    b = state.floats.pop()
-    a = state.floats.pop()
-    first = state.exec.pop()
-    second = state.exec.pop()
-    state.exec.append(first if a < b else second)
-    return True
+_exec_branch("exec.if", "booleans", 1, bool)
+_exec_branch("exec.iflt", "floats", 2, operator.lt)  # second < top
 
 
 def _body_plan(body):
@@ -591,7 +511,7 @@ def _body_plan(body):
     not plain.
     """
     items = body.items if type(body) is ExecGroup else (body,)
-    plan = _interpreter.resolve_plan(items)
+    plan = resolve_plan(items)
     return plan if len(plan) == len(items) else None
 
 
@@ -614,7 +534,6 @@ def _do_range(state, ctx, current, dest, body):
             cost = unpack + len(plan) + 4
             steps = state.steps_used
             limit = state.step_limit
-            run_steps = _interpreter.run_steps
             body_steps = iter(())
             try:
                 while steps + cost <= limit:
@@ -704,22 +623,20 @@ def push_value(state: InterpreterState, value) -> None:
         raise TypeError(f"cannot push value of type {type(value).__name__}")
 
 
-@instruction("input.inall")
-def _input_inall(state, ctx):
-    if not state.inputs:
-        return False
-    for value in state.inputs:
-        push_value(state, value)
-    return True
+def _input_all(name, order):
+    @instruction(name)
+    def op(state, ctx):
+        if not state.inputs:
+            return False
+        for value in order(state.inputs):
+            push_value(state, value)
+        return True
+
+    return op
 
 
-@instruction("input.inallrev")
-def _input_inallrev(state, ctx):
-    if not state.inputs:
-        return False
-    for value in reversed(state.inputs):
-        push_value(state, value)
-    return True
+_input_all("input.inall", iter)
+_input_all("input.inallrev", reversed)
 
 
 @instruction("input.index")
@@ -906,51 +823,38 @@ _vector_lookup("vector.current", "currents")
 _vector_lookup("vector.best", "bests")
 
 
-@instruction("vector.apply", touches_exec=True)
-def _vector_apply(state, ctx):
-    # Run the next exec item once per component: the component is pushed to
-    # the float stack before the body and the result popped afterwards. A
-    # component is left unchanged when its body run leaves the float stack
-    # empty or never runs because the step limit was reached.
-    if not state.vectors or not state.exec:
-        return False
-    run_single_item = _interpreter.run_single_item
-    body = state.exec.pop()
-    v = state.vectors.pop()
-    floats = state.floats
-    out = []
-    for c in v.tolist():
-        if state.steps_used < state.step_limit:
-            floats.append(c)
-            run_single_item(state, ctx, body)
-            if floats:
-                c = floats.pop()
-        out.append(c)
-    state.vectors.append(np.array(out, dtype=v.dtype))
-    return True
+def _vector_map(name, arity):
+    # Run the next exec item once per component of the top ``arity``
+    # vectors: the components, the deepest vector's first, are pushed to the
+    # float stack before the body and the result popped afterwards. The
+    # deepest vector's component is kept when its body run leaves the float
+    # stack empty or never runs because the step limit was reached.
+    @instruction(name, touches_exec=True)
+    def op(state, ctx):
+        vs = state.vectors
+        if len(vs) < arity or not state.exec:
+            return False
+        body = state.exec.pop()
+        operands = vs[-arity:]
+        del vs[-arity:]
+        floats = state.floats
+        out = []
+        for components in zip(*[v.tolist() for v in operands]):
+            c = components[0]
+            if state.steps_used < state.step_limit:
+                floats.extend(components)
+                run_single_item(state, ctx, body)
+                if floats:
+                    c = floats.pop()
+            out.append(c)
+        vs.append(np.array(out, dtype=operands[0].dtype))
+        return True
+
+    return op
 
 
-@instruction("vector.zip", touches_exec=True)
-def _vector_zip(state, ctx):
-    # As vector.apply, but over pairs of components of the two top vectors.
-    if len(state.vectors) < 2 or not state.exec:
-        return False
-    run_single_item = _interpreter.run_single_item
-    body = state.exec.pop()
-    b = state.vectors.pop()
-    a = state.vectors.pop()
-    floats = state.floats
-    out = []
-    for c, d in zip(a.tolist(), b.tolist()):
-        if state.steps_used < state.step_limit:
-            floats.append(c)
-            floats.append(d)
-            run_single_item(state, ctx, body)
-            if floats:
-                c = floats.pop()
-        out.append(c)
-    state.vectors.append(np.array(out, dtype=a.dtype))
-    return True
+_vector_map("vector.apply", 1)
+_vector_map("vector.zip", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,8 +907,3 @@ class InstructionSet:
 
 
 DEFAULT_INSTRUCTION_SET = InstructionSet()
-
-
-# Imported last: the interpreter module imports this one, and is always
-# imported first (the package imports it before this module).
-from . import interpreter as _interpreter  # noqa: E402

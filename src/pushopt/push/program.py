@@ -6,6 +6,10 @@ e.g. ``(3 2 integer.+)``. ``true``/``false`` are boolean literals, integer
 tokens are integer literals and any other numeric token is a float literal.
 Nested sublists are accepted on input and flattened depth-first; the
 canonical printed form is always a single flat list.
+
+Parsed programs have no length limit: genome length is an evolution setting
+(``DEFAULT_SIZE_LIMIT`` is ``EvolutionConfig``'s default), and the run time
+of a move is bounded by its execution limit, not by the program's length.
 """
 
 from __future__ import annotations
@@ -103,15 +107,11 @@ def _classify_token(token: str, instruction_set: InstructionSet):
     raise ProgramError(f"unknown instruction: {token}")
 
 
-def parse_program(
-    text: str,
-    instruction_set: InstructionSet = DEFAULT_INSTRUCTION_SET,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
-) -> Program:
-    """Parse a parenthesized expression into a flat Program.
+def parse_program(text: str, instruction_set: InstructionSet = DEFAULT_INSTRUCTION_SET) -> Program:
+    """Parse a parenthesized expression into a flat Program of any length.
 
-    Raises ProgramError on unbalanced parentheses, unknown instruction
-    tokens, or more than ``size_limit`` items.
+    Raises ProgramError on unbalanced parentheses or unknown instruction
+    tokens.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
@@ -135,14 +135,12 @@ def parse_program(
             items.append(_classify_token(token, instruction_set))
     if depth != 0:
         raise ProgramError("unbalanced parentheses: missing ')'")
-    if len(items) > size_limit:
-        raise ProgramError(f"program has {len(items)} items, limit is {size_limit}")
     return Program(tuple(items))
 
 
-def load_program(path, instruction_set=DEFAULT_INSTRUCTION_SET, size_limit=DEFAULT_SIZE_LIMIT) -> Program:
+def load_program(path, instruction_set=DEFAULT_INSTRUCTION_SET) -> Program:
     with open(path, encoding="utf-8") as fh:
-        return parse_program(fh.read(), instruction_set, size_limit)
+        return parse_program(fh.read(), instruction_set)
 
 
 def save_program(program: Program, path) -> None:

@@ -336,6 +336,29 @@ def test_evolve_checkpoints_feed_hybrid(tmp_path, tiny_evolve_config):
     assert (hybrid_out / "results.csv").read_bytes() == (replay_out / "results.csv").read_bytes()
 
 
+def test_readers_take_programs_longer_than_the_default_size_limit(tmp_path):
+    config = write_json(
+        tmp_path / "config.json",
+        {"function": "F1", "D": 2, "pop": 6, "gens": 1, "repeats": 1, "moves": 20, "seed": 1,
+         "size_limit": 150},
+    )
+    out = tmp_path / "evolved"
+    assert run_cli("evolve", "--config", config, "--out", str(out)) == 0
+    checkpoints = out / "checkpoints"
+    lengths = [
+        len(json.loads(line)["program"].split())
+        for path in checkpoints.iterdir()
+        for line in path.read_text().splitlines()
+    ]
+    assert max(lengths) > 100
+    assert run_cli("analyze", "usage", "--checkpoints", str(checkpoints), "--out", str(tmp_path / "usage")) == 0
+    code = run_cli(
+        "hybrid", "--dir", str(checkpoints), "--top", "3", "--function", "F1", "--dim", "2",
+        "--moves", "20", "--out", str(tmp_path / "hybrid"),
+    )
+    assert code == 0
+
+
 def test_run_with_problem_descriptor(tmp_path):
     descriptor = write_json(
         tmp_path / "problem.json",

@@ -197,14 +197,82 @@ def test_binary_operand_order_is_second_op_top():
     assert st.integers == [3]
 
 
-def test_comparisons_push_booleans():
-    st = fresh_state()
-    st.floats.extend([1.0, 2.0])
-    apply("float.<", st)
-    assert st.booleans == [True] and st.floats == []
-    st.integers.extend([5, 5])
-    apply("integer.=", st)
-    assert st.booleans == [True, True]
+# What each instruction computes, as (name, state before, stacks after); a
+# stack an entry leaves out is empty. The rows tell neighbouring
+# instructions apart: equal operands for every comparison, a negative
+# operand for integer.abs and integer.neg, zero and non-zero values for each
+# conversion, both branches of each exec branch, the input order, and a
+# step limit that cuts a vector body short.
+_OPERAND_ORDERS = {"less": (1, 2), "equal": (2, 2), "greater": (2, 1)}
+_COMPARISON_TRUE_ORDER = {"<": "less", ">": "greater", "=": "equal"}
+
+_INSTRUCTION_TABLE = [
+    pytest.param(
+        f"{stack}.{op}", {attr: [kind(a), kind(b)]}, {"booleans": [order == true_order]},
+        id=f"{stack}.{op}-{order}",
+    )
+    for stack, attr, kind in (("float", "floats", float), ("integer", "integers", int))
+    for op, true_order in _COMPARISON_TRUE_ORDER.items()
+    for order, (a, b) in _OPERAND_ORDERS.items()
+] + [
+    pytest.param(name, before, after, id=f"{name}-{label}")
+    for label, name, before, after in [
+        ("negative", "integer.abs", {"integers": [-3]}, {"integers": [3]}),
+        ("positive", "integer.abs", {"integers": [3]}, {"integers": [3]}),
+        ("negative", "integer.neg", {"integers": [-3]}, {"integers": [3]}),
+        ("positive", "integer.neg", {"integers": [3]}, {"integers": [-3]}),
+        ("zero", "boolean.fromfloat", {"floats": [0.0]}, {"booleans": [False]}),
+        ("nonzero", "boolean.fromfloat", {"floats": [-2.5]}, {"booleans": [True]}),
+        ("zero", "boolean.frominteger", {"integers": [0]}, {"booleans": [False]}),
+        ("nonzero", "boolean.frominteger", {"integers": [-2]}, {"booleans": [True]}),
+        ("false", "float.fromboolean", {"booleans": [False]}, {"floats": [0.0]}),
+        ("true", "float.fromboolean", {"booleans": [True]}, {"floats": [1.0]}),
+        ("zero", "float.frominteger", {"integers": [0]}, {"floats": [0.0]}),
+        ("nonzero", "float.frominteger", {"integers": [-3]}, {"floats": [-3.0]}),
+        ("false", "integer.fromboolean", {"booleans": [False]}, {"integers": [0]}),
+        ("true", "integer.fromboolean", {"booleans": [True]}, {"integers": [1]}),
+        ("zero", "integer.fromfloat", {"floats": [0.0]}, {"integers": [0]}),
+        ("nonzero", "integer.fromfloat", {"floats": [-2.9]}, {"integers": [-2]}),
+        # The branch taken is the top exec item on true, the one below it
+        # on false.
+        ("true", "exec.if", {"booleans": [True], "exec": [2.0, 1.0]}, {"exec": [1.0]}),
+        ("false", "exec.if", {"booleans": [False], "exec": [2.0, 1.0]}, {"exec": [2.0]}),
+        # exec.iflt takes the first branch when second < top.
+        ("less", "exec.iflt", {"floats": [1.0, 2.0], "exec": [20, 10]}, {"exec": [10]}),
+        ("equal", "exec.iflt", {"floats": [2.0, 2.0], "exec": [20, 10]}, {"exec": [20]}),
+        ("greater", "exec.iflt", {"floats": [2.0, 1.0], "exec": [20, 10]}, {"exec": [20]}),
+        ("order", "input.inall", {"inputs": (-5.0, 5.0, 2)}, {"floats": [-5.0, 5.0], "integers": [2]}),
+        ("order", "input.inallrev", {"inputs": (-5.0, 5.0, 2)}, {"floats": [5.0, -5.0], "integers": [2]}),
+        # A step limit of 2 runs the body on the first two components only.
+        (
+            "cut", "vector.apply",
+            {"vectors": [[1.0, -2.0, 3.0]], "exec": ["float.neg"], "step_limit": 2},
+            {"vectors": [[-1.0, 2.0, 3.0]]},
+        ),
+        (
+            "cut", "vector.zip",
+            {"vectors": [[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]], "exec": ["float.-"], "step_limit": 2},
+            {"vectors": [[-9.0, -18.0, 3.0]]},
+        ),
+    ]
+]
+
+
+def _typed(values):
+    return [(type(v).__name__, v) for v in values]
+
+
+@pytest.mark.parametrize("name, before, after", _INSTRUCTION_TABLE)
+def test_instruction_table(name, before, after):
+    st = fresh_state(dim=3, inputs=before.get("inputs", ()))
+    st.step_limit = before.get("step_limit", 100)
+    for attr in ("booleans", "integers", "floats", "exec"):
+        getattr(st, attr).extend(before.get(attr, []))
+    st.vectors.extend(np.array(v) for v in before.get("vectors", []))
+    assert apply(name, st) is True
+    for attr in ("booleans", "integers", "floats", "exec"):
+        assert _typed(getattr(st, attr)) == _typed(after.get(attr, [])), attr
+    assert vecs(st) == after.get("vectors", [])
 
 
 def test_float_division_by_zero_is_noop():
@@ -305,23 +373,6 @@ def test_integer_ln_log_truncate():
     assert st.integers == [2]
     st.integers[-1] = 0
     assert apply("integer.ln", st) is False
-
-
-def test_conversions():
-    st = fresh_state()
-    st.booleans.append(True)
-    apply("integer.fromboolean", st)
-    assert st.integers == [1]
-    apply("float.frominteger", st)
-    assert st.floats == [1.0] and st.integers == []
-    apply("boolean.fromfloat", st)
-    assert st.booleans == [True] and st.floats == []
-    st.floats.append(-2.9)
-    apply("integer.fromfloat", st)
-    assert st.integers == [-2]
-    st.integers[-1] = 0
-    apply("boolean.frominteger", st)
-    assert st.booleans == [True, False]
 
 
 def test_integer_fromfloat_of_huge_float_is_noop():

@@ -60,11 +60,10 @@ def test_program_rejects_non_finite_float_literals(literal):
         Program(("float.+", 1.0, literal))
 
 
-def test_parse_over_size_limit_is_error():
+def test_parse_has_no_length_limit():
+    # Genome length is an evolution setting; readers take what evolve wrote.
     text = "(" + " ".join(["exec.noop"] * 101) + ")"
-    with pytest.raises(ProgramError):
-        parse_program(text)
-    assert len(parse_program(text, size_limit=101)) == 101
+    assert len(parse_program(text)) == 101
 
 
 def test_nested_sublists_flatten_depth_first():
