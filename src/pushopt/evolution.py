@@ -15,14 +15,13 @@ import numpy as np
 from .harness import RunConfig, fitness
 from .parallel import worker_pool
 from .problems import ProblemFamily
-from .push import (
-    DEFAULT_INSTRUCTION_SET,
-    DEFAULT_SIZE_LIMIT,
-    InstructionSet,
-    Program,
-)
+from .push import DEFAULT_INSTRUCTION_SET, InstructionSet, Program
 from .push.ops import FLOAT_ERC, INTEGER_ERC
 from .rng import derive_seed, stream
+
+# The default genome length limit: programs that evolve generates and varies
+# have at most this many items. Parsed programs have no limit.
+DEFAULT_SIZE_LIMIT = 100
 
 
 @dataclass(frozen=True)

@@ -292,9 +292,15 @@ class Problem:
         return r
 
     def evaluate(self, point: np.ndarray) -> float:
-        if len(point) != self.dim:
-            raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        return self.function.evaluate(self.map_point(point))
+        # The function checks the length of the point it is given. A
+        # transform keeps a wrong length (at D=1) or refuses it with numpy's
+        # message, which is then replaced by the function's.
+        try:
+            return self.function.evaluate(self.map_point(point))
+        except ValueError:
+            if len(point) != self.dim:
+                raise ValueError(f"point has length {len(point)}, expected {self.dim}") from None
+            raise
 
     def transformed_optimum(self) -> np.ndarray:
         """The point whose image under the transform is the function shift."""

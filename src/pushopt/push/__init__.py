@@ -1,23 +1,16 @@
 """A typed stack-program interpreter with a search-point vector extension."""
 
-from .interpreter import (
-    UnknownInstructionError,
-    instruction_errstate,
-    run_move,
-    run_single_item,
-)
+from .interpreter import UnknownInstructionError, instruction_errstate, run_move
 from .ops import (
     DEFAULT_INSTRUCTION_SET,
     ERC_MARKERS,
     INT_LIMIT,
     REGISTRY,
-    ExecGroup,
     InstructionSet,
     default_instruction_set,
     push_value,
 )
 from .program import (
-    DEFAULT_SIZE_LIMIT,
     Program,
     ProgramError,
     load_program,
@@ -30,11 +23,9 @@ from .state import DEFAULT_EXECUTION_LIMIT, InterpreterState, SwarmContext
 __all__ = [
     "DEFAULT_EXECUTION_LIMIT",
     "DEFAULT_INSTRUCTION_SET",
-    "DEFAULT_SIZE_LIMIT",
     "ERC_MARKERS",
     "INT_LIMIT",
     "REGISTRY",
-    "ExecGroup",
     "InstructionSet",
     "InterpreterState",
     "Program",
@@ -48,6 +39,5 @@ __all__ = [
     "print_program",
     "push_value",
     "run_move",
-    "run_single_item",
     "save_program",
 ]

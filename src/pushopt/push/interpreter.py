@@ -1,5 +1,14 @@
 """The instruction registry and the bounded execution of programs against an
-interpreter state."""
+interpreter state.
+
+A tuple on the exec stack is a group: a continuation that a loop instruction
+built. Executing it unpacks its items so they run in list order. Programs
+hold only instruction names and literals (``Program`` refuses anything
+else), so groups exist only at runtime. While usage is not counted, a loop
+whose body cannot see the exec stack runs its iterations inside the loop
+instruction and builds a group only when it stops early (see
+``ops._do_range``).
+"""
 
 from __future__ import annotations
 
@@ -12,38 +21,6 @@ from .state import DEFAULT_EXECUTION_LIMIT, InterpreterState, SwarmContext
 
 # Every instruction by name, in registration order (see ``ops``).
 REGISTRY: dict = {}
-
-
-class ExecGroup:
-    """A grouped continuation on the exec stack.
-
-    Groups exist only at runtime (loop expansions); they never appear in
-    genomes. Executing a group unpacks its items so they run in list order.
-    While usage is not counted, a loop whose body cannot see the exec stack
-    runs its iterations inside the loop instruction and builds a group only
-    when it stops early (see ``ops._do_range``). Groups compare, hash, print
-    and pickle by their items. Instances carry no ``__dict__``: a loop left
-    to the exec stack builds one group per iteration.
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: tuple):
-        self.items = items
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self):
-        return hash((self.items,))
-
-    def __repr__(self):
-        return f"ExecGroup(items={self.items!r})"
-
-    def __reduce__(self):
-        return (ExecGroup, (self.items,))
 
 
 def instruction(name, touches_exec=False):
@@ -100,8 +77,8 @@ def _run_exec(state: InterpreterState, ctx) -> None:
             push_integer(item)
         elif kind is bool:
             push_boolean(item)
-        elif kind is ExecGroup:
-            ex.extend(reversed(item.items))
+        elif kind is tuple:
+            ex.extend(reversed(item))
         else:
             state.steps_used = steps
             raise TypeError(f"cannot execute item of type {kind.__name__}")
@@ -126,52 +103,14 @@ def instruction_errstate():
     return np.errstate(over="raise", invalid="raise", divide="raise", under="ignore")
 
 
-def run_single_item(state: InterpreterState, ctx, item) -> None:
-    """Run one item to completion on a private exec stack.
-
-    Used by instructions that take a code argument; shares the caller's step
-    budget so nested execution cannot exceed the move limit. Steps, stacks
-    and exceptions are those of running ``[item]`` through the loop. While
-    usage is not counted, a name registered to a plain function runs as one
-    step without the loop, and one flagged ``touches_exec`` sees an empty
-    private exec stack, as it would there. Everything else, and every item
-    while ``state.usage`` is counted, runs through the loop, which alone
-    counts usage.
-    """
-    fn = REGISTRY.get(item) if type(item) is str and state.usage is None else None
-    saved = state.exec
-    if type(fn) is not FunctionType:
-        state.exec = [item]
-        try:
-            _run_exec(state, ctx)
-        finally:
-            state.exec = saved
-        return
-    steps = state.steps_used
-    if steps >= state.step_limit:
-        return
-    state.steps_used = steps + 1
-    if not fn.touches_exec:
-        fn(state, ctx)
-        return
-    state.exec = []
-    try:
-        fn(state, ctx)
-        # Whatever the instruction left on the private stack runs as it
-        # would in the loop.
-        if state.exec:
-            _run_exec(state, ctx)
-    finally:
-        state.exec = saved
-
-
 def resolve_plan(items) -> tuple:
-    """The execution plan of a program's straight-line prefix.
+    """The execution plan of a program's straight-line prefix, or of a
+    loop body's items.
 
     Each instruction resolves to its registered function and each literal
     stands for itself. The plan stops before the first item that needs the
     exec stack to run exactly: an instruction registered with
-    ``touches_exec``, an unknown name or an item that is not a literal. It
+    ``touches_exec``, an unknown name or a group nested in a body. It
     also stops at a name registered to anything but a plain function, so
     that every other step is a literal. A plan keeps the functions
     registered when it was resolved.

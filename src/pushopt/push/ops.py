@@ -20,6 +20,9 @@ Conventions shared by all instructions:
 - Every value on every stack is finite: literals are finite (``Program``
   rejects others), protected arithmetic refuses non-finite results and the
   harness pushes only finite objective values.
+- The exec stack holds instruction names, literals and groups: tuples of
+  items that the loop instructions build as continuations (see
+  ``interpreter``).
 - Instructions run under ``interpreter.instruction_errstate``, which
   ``run_with_source`` enters once per run; direct callers of ``run_move``,
   ``step_swarm`` or ``REGISTRY[name]`` enter it themselves. Correctness, not
@@ -34,11 +37,12 @@ from __future__ import annotations
 
 import math
 import operator
+from types import FunctionType
 
 import numpy as np
 
 from ..rng import uniform_int
-from .interpreter import REGISTRY, ExecGroup, instruction, resolve_plan, run_single_item, run_steps
+from .interpreter import REGISTRY, _run_exec, instruction, resolve_plan, run_steps
 from .state import InterpreterState
 
 INT_LIMIT = 2**63 - 1
@@ -50,10 +54,8 @@ _WRAND_LIMIT = math.ldexp(float(np.finfo(np.float64).max), -1)
 def items_equal(a, b) -> bool:
     if type(a) is not type(b):
         return False
-    if isinstance(a, ExecGroup):
-        return len(a.items) == len(b.items) and all(
-            items_equal(x, y) for x, y in zip(a.items, b.items)
-        )
+    if type(a) is tuple:
+        return len(a) == len(b) and all(items_equal(x, y) for x, y in zip(a, b))
     return a == b
 
 
@@ -510,7 +512,7 @@ def _body_plan(body):
     is not ``touches_exec``, or a group of such items; a nested group is
     not plain.
     """
-    items = body.items if type(body) is ExecGroup else (body,)
+    items = body if type(body) is tuple else (body,)
     plan = resolve_plan(items)
     return plan if len(plan) == len(items) else None
 
@@ -530,7 +532,7 @@ def _do_range(state, ctx, current, dest, body):
         step = 1 if dest > current else -1
         plan = _body_plan(body) if state.usage is None else None
         if plan is not None:
-            unpack = 1 if type(body) is ExecGroup else 0
+            unpack = 1 if type(body) is tuple else 0
             cost = unpack + len(plan) + 4
             steps = state.steps_used
             limit = state.step_limit
@@ -550,15 +552,15 @@ def _do_range(state, ctx, current, dest, body):
                 # the exec stack.
                 ran = len(plan) - operator.length_hint(body_steps)
                 state.steps_used = steps + unpack + ran
-                ex.append(ExecGroup((current + step, dest, "exec.do*range", body)))
+                ex.append((current + step, dest, "exec.do*range", body))
                 if unpack:
-                    ex.extend(reversed(body.items[ran:]))
+                    ex.extend(reversed(body[ran:]))
                 raise
             state.steps_used = steps
     if current == dest:
         ex.append(body)
     else:
-        ex.append(ExecGroup((current + step, dest, "exec.do*range", body)))
+        ex.append((current + step, dest, "exec.do*range", body))
         ex.append(body)
     return True
 
@@ -568,7 +570,7 @@ def _enter_loop(state, ctx, n, body):
     # group's unpack, its two literals and the first re-entry run at once
     # when those 4 steps fit.
     if state.usage is not None or state.steps_used + 4 > state.step_limit:
-        state.exec.append(ExecGroup((0, n - 1, "exec.do*range", body)))
+        state.exec.append((0, n - 1, "exec.do*range", body))
         return True
     state.steps_used += 4
     return _do_range(state, ctx, 0, n - 1, body)
@@ -600,7 +602,7 @@ def _exec_do_times(state, ctx):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
         return False
-    hidden = ExecGroup(("integer.pop", state.exec.pop()))
+    hidden = ("integer.pop", state.exec.pop())
     return _enter_loop(state, ctx, ints.pop(), hidden)
 
 
@@ -829,6 +831,15 @@ def _vector_map(name, arity):
     # float stack before the body and the result popped afterwards. The
     # deepest vector's component is kept when its body run leaves the float
     # stack empty or never runs because the step limit was reached.
+    #
+    # Each body run is that of ``[body]`` on a private exec stack, on the
+    # move's shared step budget. While usage is not counted, a body naming
+    # a plain function runs as one step without the loop; one flagged
+    # ``touches_exec`` sees the empty private stack, and what it leaves
+    # there runs through the loop. Other bodies, and every body while usage
+    # is counted, run through the loop, which alone counts usage. A run
+    # ends with the private stack empty or the step limit reached, so every
+    # run starts on an empty one.
     @instruction(name, touches_exec=True)
     def op(state, ctx):
         vs = state.vectors
@@ -837,16 +848,29 @@ def _vector_map(name, arity):
         body = state.exec.pop()
         operands = vs[-arity:]
         del vs[-arity:]
+        fn = REGISTRY.get(body) if type(body) is str and state.usage is None else None
+        direct = type(fn) is FunctionType
         floats = state.floats
+        saved = state.exec
+        state.exec = private = []
         out = []
-        for components in zip(*[v.tolist() for v in operands]):
-            c = components[0]
-            if state.steps_used < state.step_limit:
-                floats.extend(components)
-                run_single_item(state, ctx, body)
-                if floats:
-                    c = floats.pop()
-            out.append(c)
+        try:
+            for components in zip(*[v.tolist() for v in operands]):
+                c = components[0]
+                if state.steps_used < state.step_limit:
+                    floats.extend(components)
+                    if direct:
+                        state.steps_used += 1
+                        fn(state, ctx)
+                    else:
+                        private.append(body)
+                    if private:
+                        _run_exec(state, ctx)
+                    if floats:
+                        c = floats.pop()
+                out.append(c)
+        finally:
+            state.exec = saved
         vs.append(np.array(out, dtype=operands[0].dtype))
         return True
 

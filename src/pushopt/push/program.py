@@ -7,9 +7,11 @@ tokens are integer literals and any other numeric token is a float literal.
 Nested sublists are accepted on input and flattened depth-first; the
 canonical printed form is always a single flat list.
 
-Parsed programs have no length limit: genome length is an evolution setting
-(``DEFAULT_SIZE_LIMIT`` is ``EvolutionConfig``'s default), and the run time
-of a move is bounded by its execution limit, not by the program's length.
+A program holds only instruction names and finite literals: every item is a
+``str``, ``int``, ``float`` or ``bool``. Parsed programs have no length
+limit: genome length is an evolution setting (``EvolutionConfig.size_limit``),
+and the run time of a move is bounded by its execution limit, not by the
+program's length.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from functools import cached_property
 from .interpreter import resolve_plan
 from .ops import DEFAULT_INSTRUCTION_SET, InstructionSet
 
-DEFAULT_SIZE_LIMIT = 100
-
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
+_ITEM_TYPES = frozenset((str, int, float, bool))
 
 
 class ProgramError(ValueError):
@@ -35,7 +36,9 @@ class ProgramError(ValueError):
 class Program:
     """An immutable linear genome of instruction names and literals.
 
-    Float literals must be finite, as on every stack the program runs on.
+    Every item is a ``str``, ``int``, ``float`` or ``bool``, so a tuple on
+    the exec stack is always a group a loop instruction built. Float
+    literals must be finite, as on every stack the program runs on.
     """
 
     items: tuple = ()
@@ -44,6 +47,8 @@ class Program:
         for item in self.items:
             if isinstance(item, float) and not math.isfinite(item):
                 raise ProgramError(f"non-finite literal: {item!r}")
+            if type(item) not in _ITEM_TYPES:
+                raise ProgramError(f"not an instruction name or literal: {item!r}")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -78,11 +83,7 @@ def format_item(item) -> str:
         return item
     if kind is bool:
         return "true" if item else "false"
-    if kind is int:
-        return str(item)
-    if kind is float:
-        return repr(item)
-    raise ProgramError(f"cannot print item of type {kind.__name__}")
+    return repr(item)
 
 
 def print_program(program: Program) -> str:

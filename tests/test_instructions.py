@@ -12,7 +12,6 @@ from pushopt.harness import INFEASIBLE
 from pushopt.push import (
     INT_LIMIT,
     REGISTRY,
-    ExecGroup,
     InterpreterState,
     SwarmContext,
     instruction_errstate,
@@ -551,7 +550,7 @@ def test_vector_zip_empty_float_keeps_first_components():
     st = fresh_state(dim=2)
     st.vectors.append(np.array([1.0, 2.0]))
     st.vectors.append(np.array([10.0, 20.0]))
-    st.exec.append(ExecGroup(("float.pop", "float.pop")))
+    st.exec.append(("float.pop", "float.pop"))
     st.step_limit = 100
     apply("vector.zip", st)
     assert vecs(st) == [[1.0, 2.0]]
@@ -560,10 +559,10 @@ def test_vector_zip_empty_float_keeps_first_components():
 @pytest.mark.parametrize(
     "name, vectors, body",
     [
-        ("vector.apply", 1, ExecGroup((5, "float.swap"))),
+        ("vector.apply", 1, (5, "float.swap")),
         # The two pushed components sit above the marker, so zip needs a rot
         # (not a swap) to pop it as a result component.
-        ("vector.zip", 2, ExecGroup((5, "float.rot"))),
+        ("vector.zip", 2, (5, "float.rot")),
     ],
 )
 def test_vector_apply_and_zip_take_any_stack_float_into_the_result(name, vectors, body):
@@ -710,8 +709,8 @@ def test_exec_noop_and_equality():
 
 
 def test_exec_eq_group_comparison():
-    assert items_equal(ExecGroup((1, "exec.noop")), ExecGroup((1, "exec.noop")))
-    assert not items_equal(ExecGroup((1,)), ExecGroup((1, 2)))
+    assert items_equal((1, "exec.noop"), (1, "exec.noop"))
+    assert not items_equal((1,), (1, 2))
     assert not items_equal(True, 1)
     assert not items_equal(1, 1.0)
 

@@ -1,10 +1,9 @@
 """Counted loops: ``exec.do*range``, ``exec.do*count`` and ``exec.do*times``
 run the iterations of a body that cannot see the exec stack inside the
 instruction while usage is not counted, and must leave exactly what re-entry
-through an ``ExecGroup`` on the exec stack leaves. While usage is counted
-they re-enter, and count it as the reference does."""
+through a group (a tuple continuation) on the exec stack leaves. While usage
+is counted they re-enter, and count it as the reference does."""
 
-import pickle
 import struct
 from contextlib import contextmanager
 
@@ -16,7 +15,6 @@ from hypothesis import strategies as hst
 from pushopt.evolution import random_program
 from pushopt.push import (
     REGISTRY,
-    ExecGroup,
     InstructionSet,
     InterpreterState,
     Program,
@@ -42,7 +40,7 @@ def _reference_do_range(state, ctx):
         state.exec.append(body)
     else:
         step = 1 if dest > current else -1
-        state.exec.append(ExecGroup((current + step, dest, "exec.do*range", body)))
+        state.exec.append((current + step, dest, "exec.do*range", body))
         state.exec.append(body)
     return True
 
@@ -53,7 +51,7 @@ def _reference_do_count(state, ctx):
         return False
     n = ints.pop()
     body = state.exec.pop()
-    state.exec.append(ExecGroup((0, n - 1, "exec.do*range", body)))
+    state.exec.append((0, n - 1, "exec.do*range", body))
     return True
 
 
@@ -63,8 +61,8 @@ def _reference_do_times(state, ctx):
         return False
     n = ints.pop()
     body = state.exec.pop()
-    hidden = ExecGroup(("integer.pop", body))
-    state.exec.append(ExecGroup((0, n - 1, "exec.do*range", hidden)))
+    hidden = ("integer.pop", body)
+    state.exec.append((0, n - 1, "exec.do*range", hidden))
     return True
 
 
@@ -111,8 +109,8 @@ def _bits(value):
         return (kind, struct.pack("<d", value))
     if kind is np.ndarray:
         return (kind, value.dtype.str, value.shape, value.tobytes())
-    if kind is ExecGroup:
-        return (kind, tuple(_bits(item) for item in value.items))
+    if kind is tuple:
+        return (kind, tuple(_bits(item) for item in value))
     return (kind, value)
 
 
@@ -243,14 +241,14 @@ def test_each_body_kind_runs_as_with_re_entry(kind):
 # groups, plain or holding a nested group, groups that raise in their
 # middle, and loops reached through vector.apply's nested run.
 GROUP_STACKS = {
-    "plain group": (0, 3, "exec.do*range", ExecGroup((1.5, "float.neg", 2)), "float.abs"),
-    "nested group": (4, "exec.do*times", ExecGroup((ExecGroup(("float.abs",)), 2.5))),
-    "exec-side group": (3, 0, "exec.do*range", ExecGroup(("exec.stackdepth", 1.0))),
-    "raise mid-group": (0, 5, "exec.do*range", ExecGroup((1.0, "test.raise", "float.abs", 0.5))),
-    "raise in count group": (9, "exec.do*count", ExecGroup(("integer.dup", "test.raise", 2.0))),
-    "empty group": (4, "exec.do*count", ExecGroup(())),
-    "apply": ("vector.apply", ExecGroup((0, 2, "exec.do*range", "float.neg"))),
-    "apply group": ("vector.apply", ExecGroup((3, "exec.do*count", ExecGroup(("float.abs", "integer.pop"))))),
+    "plain group": (0, 3, "exec.do*range", (1.5, "float.neg", 2), "float.abs"),
+    "nested group": (4, "exec.do*times", (("float.abs",), 2.5)),
+    "exec-side group": (3, 0, "exec.do*range", ("exec.stackdepth", 1.0)),
+    "raise mid-group": (0, 5, "exec.do*range", (1.0, "test.raise", "float.abs", 0.5)),
+    "raise in count group": (9, "exec.do*count", ("integer.dup", "test.raise", 2.0)),
+    "empty group": (4, "exec.do*count", ()),
+    "apply": ("vector.apply", (0, 2, "exec.do*range", "float.neg")),
+    "apply group": ("vector.apply", (3, "exec.do*count", ("float.abs", "integer.pop"))),
 }
 
 
@@ -294,15 +292,3 @@ def test_iterations_in_place_are_charged_as_re_entries():
     assert state.steps_used == 17
     assert state.integers == [1, 2, 3, 4, 5]
     assert state.exec == ["float.abs", "exec.do*range"]
-
-
-def test_exec_group_compares_hashes_and_prints_by_its_items():
-    group = ExecGroup((1, "float.abs"))
-    assert group == ExecGroup((1, "float.abs"))
-    assert group != ExecGroup((1,))
-    assert group != (1, "float.abs")
-    assert hash(group) == hash(ExecGroup((1, "float.abs")))
-    assert repr(group) == "ExecGroup(items=(1, 'float.abs'))"
-    assert not hasattr(group, "__dict__")
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(group, protocol)) == group

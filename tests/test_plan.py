@@ -19,17 +19,17 @@ from pushopt.problems import ProblemFamily, make_function
 from pushopt.push import (
     DEFAULT_INSTRUCTION_SET,
     REGISTRY,
-    ExecGroup,
     InstructionSet,
     InterpreterState,
     Program,
+    ProgramError,
     SwarmContext,
     UnknownInstructionError,
     instruction_errstate,
     parse_program,
     run_move,
 )
-from pushopt.push.interpreter import _run_exec, run_single_item
+from pushopt.push.interpreter import _run_exec
 
 from conftest import EVOLVED_OPTIMISERS
 
@@ -62,8 +62,8 @@ def _bits(value):
         return (kind, struct.pack("<d", value))
     if kind is np.ndarray:
         return (kind, value.dtype.str, value.shape, value.tobytes())
-    if kind is ExecGroup:
-        return (kind, tuple(_bits(item) for item in value.items))
+    if kind is tuple:
+        return (kind, tuple(_bits(item) for item in value))
     return (kind, value)
 
 
@@ -232,10 +232,18 @@ def test_touches_exec_marks_exactly_the_instructions_that_touch_it():
     assert flagged == (exec_names - {"exec.noop"}) | {"vector.apply", "vector.zip"}
 
 
+def _unchecked_program(items):
+    """A program built around ``Program``'s item check: the items a move
+    meets when code loads the exec stack without building a program."""
+    program = object.__new__(Program)
+    object.__setattr__(program, "items", tuple(items))
+    return program
+
+
 @pytest.mark.parametrize(
     "items, error",
     [
-        ((1, 2, "no.such", 3), UnknownInstructionError),
+        ((1, "integer.dup", "no.such", 3), UnknownInstructionError),
         ((1, "integer.dup", None, 3), TypeError),
     ],
 )
@@ -243,16 +251,22 @@ def test_bad_item_raises_after_earlier_items(items, error):
     # The items before the bad one run; the error leaves the step count and
     # the exec stack the loop leaves, without counting usage and while
     # counting it. A limit before the bad item stops the move without an
-    # error.
-    program = Program(items)
+    # error. An item that is neither a name nor a literal is refused when
+    # the program is built; the loop still raises for one that reaches it.
+    if error is TypeError:
+        with pytest.raises(ProgramError):
+            Program(items)
+        program = _unchecked_program(items)
+    else:
+        program = Program(items)
     for usage in (None, {}):
         state = InterpreterState(dim=2, rng=np.random.default_rng(0))
         with pytest.raises(error):
             run_move(state, program, usage=usage)
         assert state.steps_used == 3
         assert state.exec == [3]
-        assert state.integers == ([1, 2] if error is UnknownInstructionError else [1, 1])
-    assert usage == ({"integer.dup": 1} if "integer.dup" in items else {})
+        assert state.integers == [1, 1]
+    assert usage == {"integer.dup": 1}
     for limit in (1, 2, 3, 100):
         assert_same_moves(program, 2, limit, seed=0, moves=2)
 
@@ -359,7 +373,7 @@ def test_dynamic_usage_counts_match_the_loop_only_interpreter(limit):
 
 
 def loop_single_item(state, ctx, item):
-    """``run_single_item`` as it was: the item through a nested loop."""
+    """One item through a nested loop on a private exec stack."""
     saved = state.exec
     state.exec = [item]
     try:
@@ -368,28 +382,75 @@ def loop_single_item(state, ctx, item):
         state.exec = saved
 
 
+def _reference_map(arity):
+    """``vector.apply`` (arity 1) or ``vector.zip`` (arity 2) as they were
+    before they ran their own body: each component's run of the body goes
+    through ``loop_single_item``."""
+
+    def op(state, ctx):
+        vs = state.vectors
+        if len(vs) < arity or not state.exec:
+            return False
+        body = state.exec.pop()
+        operands = vs[-arity:]
+        del vs[-arity:]
+        floats = state.floats
+        out = []
+        for components in zip(*[v.tolist() for v in operands]):
+            c = components[0]
+            if state.steps_used < state.step_limit:
+                floats.extend(components)
+                loop_single_item(state, ctx, body)
+                if floats:
+                    c = floats.pop()
+            out.append(c)
+        vs.append(np.array(out, dtype=operands[0].dtype))
+        return True
+
+    op.touches_exec = True
+    return op
+
+
+REFERENCE_MAPS = {"vector.apply": _reference_map(1), "vector.zip": _reference_map(2)}
+
+
 def _pushes_onto_exec(state, ctx):
     state.exec.append("float.neg")
-    state.exec.append(ExecGroup((2.0, "exec.stackdepth")))
+    state.exec.append((2.0, "exec.stackdepth"))
     return True
 
 
 _pushes_onto_exec.touches_exec = True
 
 SINGLE_ITEM_BODIES = sorted(REGISTRY) + [
-    2.5, 3, True, ExecGroup(("float.neg", 1.5, "exec.dup", "float.abs")), ExecGroup(()),
+    2.5, 3, True, ("float.neg", 1.5, "exec.dup", "float.abs"), (),
     "no.such", "test.partial", "test.pushes", "test.raise",
 ]
+
+# (steps used, step limit) before the map: steps to spare, limits that cut
+# the three components' runs before, inside or between them, the last step
+# and none left.
+MAP_LIMITS = ((0, 100), (0, 1), (0, 2), (0, 7), (4, 5), (5, 5), (6, 5))
+
+
+def _bare_state():
+    state = InterpreterState(dim=3, rng=np.random.default_rng(0))
+    state.vectors.extend([np.array([0.5, -1.5, 2.0]), np.array([3.0, 0.0, -0.25])])
+    return state
 
 
 @pytest.mark.parametrize("body", SINGLE_ITEM_BODIES, ids=repr)
 def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
-    # Every registered instruction, a literal, groups, an unknown name, a
+    # vector.apply and vector.zip run their body, the next exec item, once
+    # per component as the item alone runs through a nested loop: every
+    # registered instruction, literals, groups, an unknown name, a
     # registered callable that is not a plain function, a touches_exec
     # instruction that leaves items on its private exec stack and a plain
-    # instruction that raises; on full and empty stacks, with steps to
-    # spare, with the last step and with none; without counting usage,
-    # which takes the shortcut, and while counting it.
+    # instruction that raises; on full stacks and on bare ones that hold
+    # only the operand vectors, under each of MAP_LIMITS. Three runs are
+    # compared: the live map without counting usage, which resolves the
+    # body once, the live map counting usage and the reference map counting
+    # it.
     negate = partial(REGISTRY["float.neg"])
     negate.touches_exec = False
     monkeypatch.setitem(REGISTRY, "test.partial", negate)
@@ -397,24 +458,30 @@ def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
     monkeypatch.setitem(REGISTRY, "test.raise", _raises)
     point = np.zeros(3)
     ctx = SwarmContext([point], [point], 0)
-    for full in (True, False):
-        for steps_used, limit in ((0, 100), (4, 5), (5, 5), (6, 5)):
-            outcomes, counts = [], []
-            for runner, counting in ((run_single_item, False), (run_single_item, True), (loop_single_item, True)):
-                state = _full_state() if full else InterpreterState(dim=3, rng=np.random.default_rng(0))
-                state.steps_used = steps_used
-                state.step_limit = limit
-                state.usage = {"float.neg": 1} if counting else None
-                caller_exec = state.exec
-                try:
-                    runner(state, ctx, body)
-                    error = None
-                except Exception as exc:  # compared between the runners
-                    error = (type(exc), str(exc))
-                assert state.exec is caller_exec
-                outcomes.append((_snapshot(state), error))
-                counts.append(state.usage)
-            where = (full, steps_used, limit)
-            assert outcomes[0] == outcomes[2], where
-            assert outcomes[1] == outcomes[2], where
-            assert counts[1] == counts[2], where
+    for name in REFERENCE_MAPS:
+        for full in (True, False):
+            for steps_used, limit in MAP_LIMITS:
+                outcomes, counts = [], []
+                for counting, reference in ((False, False), (True, False), (True, True)):
+                    state = _full_state() if full else _bare_state()
+                    state.exec.append(body)
+                    state.steps_used = steps_used
+                    state.step_limit = limit
+                    state.usage = {"float.neg": 1} if counting else None
+                    caller_exec = state.exec
+                    with pytest.MonkeyPatch.context() as m:
+                        if reference:
+                            for map_name, fn in REFERENCE_MAPS.items():
+                                m.setitem(REGISTRY, map_name, fn)
+                        try:
+                            result = REGISTRY[name](state, ctx)
+                            error = None
+                        except Exception as exc:  # compared between the runs
+                            result, error = None, (type(exc), str(exc))
+                    assert state.exec is caller_exec
+                    outcomes.append((_snapshot(state), result, error))
+                    counts.append(list(state.usage.items()) if counting else None)
+                where = (name, full, steps_used, limit)
+                assert outcomes[0] == outcomes[2], where
+                assert outcomes[1] == outcomes[2], where
+                assert counts[1] == counts[2], where

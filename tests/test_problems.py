@@ -113,6 +113,24 @@ def test_dimension_mismatch_is_hard_error():
         fn.evaluate(np.zeros(4))
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_problem_reports_a_wrong_length_as_the_function_does(dim):
+    # Under the identity transform, and under a random one, which keeps a
+    # wrong length at D=1 and refuses it in numpy otherwise.
+    fn = make_function("F1", dim, 1)
+    transform = sample_transform(fn.bounds, dim, stream(2, "lengths"))
+    assert not transform.is_identity()
+    for length in (0, 1, 2, 4):
+        if length == dim:
+            continue
+        message = f"^point has length {length}, expected {dim}$"
+        with pytest.raises(ValueError, match=message):
+            fn.evaluate(np.zeros(length))
+        for problem in (Problem.plain(fn), Problem(fn, transform)):
+            with pytest.raises(ValueError, match=message):
+                problem.evaluate(np.zeros(length))
+
+
 def test_f1_separability():
     fn = make_function("F1", 5, 8)
     rng = np.random.default_rng(0)

@@ -60,6 +60,18 @@ def test_program_rejects_non_finite_float_literals(literal):
         Program(("float.+", 1.0, literal))
 
 
+@pytest.mark.parametrize(
+    "item", [(1, 2), [1], None, np.int64(1), np.float64(1.0), np.str_("float.abs")], ids=repr
+)
+def test_program_rejects_items_that_are_not_names_or_literals(item):
+    # Every item is a str, int, float or bool, so a tuple on the exec stack
+    # is always a group that a loop instruction built.
+    with pytest.raises(ProgramError, match="not an instruction name or literal"):
+        Program((item,))
+    with pytest.raises(ProgramError, match="not an instruction name or literal"):
+        Program(("float.+", 1.0, item))
+
+
 def test_parse_has_no_length_limit():
     # Genome length is an evolution setting; readers take what evolve wrote.
     text = "(" + " ".join(["exec.noop"] * 101) + ")"
