@@ -1,17 +1,18 @@
 """Command-line entry point: evolve / run / hybrid / analyze workflows.
 
-Every command resolves its parameters (flags or config file), records them
-verbatim in ``manifest.json`` inside the output directory, and writes its
-result files deterministically. ``pushopt replay --manifest path`` re-runs
-any recorded command; repeated runs from the same manifest produce
-byte-identical result files. All randomness flows from the single ``seed``
-parameter via named stream splitting.
+Every command resolves its parameters (flags or config file), loads and
+checks its inputs, then records the parameters verbatim in ``manifest.json``
+inside the output directory and writes its result files deterministically.
+``pushopt replay --manifest path`` re-runs any recorded command; repeated
+runs from the same manifest produce byte-identical result files. All
+randomness flows from the single ``seed`` parameter via named stream splitting.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -48,12 +49,17 @@ class CliError(Exception):
     pass
 
 
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
 # ---------------------------------------------------------------------------
 # Parameter schemas: single source of truth for defaults and validation
 # ---------------------------------------------------------------------------
 
 # Keys shared by every command that selects a problem and runs a swarm.
-# Defaults that the library has too are read from its config classes.
+# Defaults that the library has too are read from its config classes
+# and signatures.
 PROBLEM_DEFAULTS = {"function": None, "D": None, "problem_seed": 0}
 SWARM_DEFAULTS = {
     "swarm": RunConfig.swarm_size, "moves": RunConfig.moves,
@@ -91,7 +97,7 @@ RUN_DEFAULTS = {
 
 HYBRID_DEFAULTS = dict(RUN_DEFAULTS)
 del HYBRID_DEFAULTS["program"]
-HYBRID_DEFAULTS.update({"pool": None, "dir": None, "top": None, "mode": "per_move"})
+HYBRID_DEFAULTS.update({"pool": None, "dir": None, "top": None, "mode": hybrid.MODES[0]})
 
 USAGE_DEFAULTS = {
     "checkpoints": None,  # required: list of files or directories
@@ -108,8 +114,8 @@ SIMPLIFY_DEFAULTS = {
     "problem_file": None,
     **SWARM_DEFAULTS,
     "moves": 100,
-    "repeats": 10,
-    "tolerance": 1e-6,
+    "repeats": _default(analysis.simplify, "repeats"),
+    "tolerance": _default(analysis.simplify, "tolerance"),
     "transforms": "random",
 }
 
@@ -119,7 +125,7 @@ REEVALUATE_DEFAULTS = {
     "functions": None,  # required
     "D": None,  # required
     "problem_seed": 0,
-    "runs": 25,
+    "runs": _default(analysis.reevaluate, "runs"),
     **SWARM_DEFAULTS,
     "jobs": 1,
 }
@@ -203,12 +209,20 @@ def _load_program_arg(value) -> Program:
     raise CliError(f"program file not found: {value}")
 
 
-def _repeat_and_write(runner, params: dict, out_dir: Path) -> None:
-    """Repeat ``runner(problem, config)`` as ``params`` ask; write
-    ``results.csv`` and, when one is named, the trajectory file."""
+def _repeat_and_write(runner, params: dict, out_dir: Path, result_files=()):
+    """Check the problem, and a trajectory path against the result files;
+    once resumed, repeat ``runner(problem, config)`` as ``params`` ask and
+    write ``results.csv`` and, when one is named, the trajectory file."""
     record = params["trajectory"] is not None
     family = _problem_family(params)
-    report = repeated_runs(runner, family, int(params["repeats"]), _run_config(params, record))
+    config = _run_config(params, record)
+    if record:
+        target = Path(params["trajectory"]).resolve()
+        for name in ("manifest.json", "results.csv", *result_files):
+            if target == (out_dir / name).resolve():
+                raise CliError(f"trajectory {params['trajectory']} would overwrite the result file {name}")
+    yield
+    report = repeated_runs(runner, family, int(params["repeats"]), config)
     with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["repeat", "pbest", "evaluations", "moves"])
@@ -224,11 +238,11 @@ def _repeat_and_write(runner, params: dict, out_dir: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each checks its inputs up to its one ``yield``, then runs and writes
 # ---------------------------------------------------------------------------
 
 
-def cmd_evolve(params: dict, out_dir: Path) -> None:
+def cmd_evolve(params: dict, out_dir: Path):
     """Run the evolutionary loop."""
     family = _problem_family(params)
     rates = params["rates"]
@@ -248,6 +262,7 @@ def cmd_evolve(params: dict, out_dir: Path) -> None:
         instruction_set=instruction_set,
         seed=int(params["seed"]),
     )
+    yield
     checkpoint_dir = out_dir / "checkpoints"
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
@@ -270,7 +285,7 @@ def cmd_evolve(params: dict, out_dir: Path) -> None:
             writer.writerow([s.generation] + [format_value(v) for v in values])
 
 
-def cmd_run(params: dict, out_dir: Path) -> None:
+def cmd_run(params: dict, out_dir: Path):
     """Run one program as an optimiser."""
     _require(params, ["program"], "run")
     program = _load_program_arg(params["program"])
@@ -278,28 +293,25 @@ def cmd_run(params: dict, out_dir: Path) -> None:
     def runner(problem, run_config):
         return run_optimisation(program, problem, run_config)
 
-    _repeat_and_write(runner, params, out_dir)
+    yield from _repeat_and_write(runner, params, out_dir)
 
 
-def cmd_hybrid(params: dict, out_dir: Path) -> None:
+def cmd_hybrid(params: dict, out_dir: Path):
     """Run a heterogeneous swarm over a pool."""
     if params.get("pool") and (params.get("dir") or params.get("top")):
         raise CliError("give either a pool manifest or a checkpoint dir with --top, not both")
     if params.get("pool"):
         pool = hybrid.load_pool_manifest(params["pool"])
     elif params.get("dir"):
-        checkpoints = sorted(Path(params["dir"]).glob("*.jsonl"))
-        if not checkpoints:
-            raise CliError(f"no checkpoint files in {params['dir']}")
         top = int(params["top"]) if params.get("top") is not None else None
-        pool = hybrid.build_pool(checkpoints, top_n=top)
+        pool = hybrid.build_pool(_checkpoint_files(params["dir"]), top_n=top)
     else:
         raise CliError("hybrid requires a pool manifest or a checkpoint dir")
 
     def runner(problem, run_config):
         return hybrid.run_hybrid(pool, problem, run_config, mode=params["mode"])
 
-    _repeat_and_write(runner, params, out_dir)
+    yield from _repeat_and_write(runner, params, out_dir, ("pool.json",))
     hybrid.write_pool_manifest(pool, out_dir / "pool.json")
 
 
@@ -312,15 +324,21 @@ def _unique_label(taken, label: str, entry) -> str:
     return str(entry)
 
 
+def _checkpoint_files(directory) -> list:
+    """The checkpoint files in ``directory``, in name order; at least one."""
+    files = sorted(Path(directory).glob("*.jsonl"))
+    if not files:
+        raise CliError(f"no checkpoint files in {directory}")
+    return files
+
+
 def _collect_checkpoints(entries) -> dict:
     """Map a unique label to checkpoint files for each given path."""
     groups = {}
     for entry in entries:
         path = Path(entry)
         if path.is_dir():
-            files = sorted(path.glob("*.jsonl"))
-            if not files:
-                raise CliError(f"no checkpoint files in {path}")
+            files = _checkpoint_files(path)
             label = path.name
         elif path.exists():
             files = [path]
@@ -331,22 +349,22 @@ def _collect_checkpoints(entries) -> dict:
     return groups
 
 
-def cmd_analyze_usage(params: dict, out_dir: Path) -> None:
+def cmd_analyze_usage(params: dict, out_dir: Path):
     """Instruction usage table."""
     _require(params, ["checkpoints"], "analyze usage")
-    groups = _collect_checkpoints(params["checkpoints"])
+    groups = {
+        label: [entry.program for f in files for entry in hybrid.read_checkpoint(f)]
+        for label, files in _collect_checkpoints(params["checkpoints"]).items()
+    }
     top = int(params["top"])
+    if params["mode"] == "dynamic":
+        family = _problem_family({**params, "transforms": "random"})
+        config = _run_config(params, record=False)
+    yield
     per_label = {}
-    for label, files in groups.items():
-        entries = []
-        for f in files:
-            entries.extend(hybrid.read_checkpoint(f))
-        programs = [e.program for e in entries]
+    for label, programs in groups.items():
         if params["mode"] == "dynamic":
-            family = _problem_family({**params, "transforms": "random"})
-            rows = analysis.dynamic_instruction_usage(
-                programs, family, _run_config(params, record=False), top=top
-            )
+            rows = analysis.dynamic_instruction_usage(programs, family, config, top=top)
         else:
             rows = analysis.instruction_usage(programs, top=top)
         per_label[label] = rows
@@ -354,22 +372,19 @@ def cmd_analyze_usage(params: dict, out_dir: Path) -> None:
         analysis.write_usage_csv(out_dir / f"usage_{safe}.csv", rows)
     with open(out_dir / "usage.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        labels = list(per_label)
-        writer.writerow(["rank"] + labels)
+        writer.writerow(["rank", *per_label])
         for rank in range(top):
-            row = [rank + 1]
-            for label in labels:
-                rows = per_label[label]
-                row.append(rows[rank].instruction if rank < len(rows) else "")
-            writer.writerow(row)
+            cells = (rows[rank].instruction if rank < len(rows) else "" for rows in per_label.values())
+            writer.writerow([rank + 1, *cells])
 
 
-def cmd_analyze_simplify(params: dict, out_dir: Path) -> None:
+def cmd_analyze_simplify(params: dict, out_dir: Path):
     """Remove effect-free instructions."""
     _require(params, ["program"], "analyze simplify")
     program = _load_program_arg(params["program"])
     family = _problem_family(params)
     config = _run_config(params, record=False)
+    yield
     simplified, before, after = analysis.simplify(
         program, family, config, repeats=int(params["repeats"]), tolerance=float(params["tolerance"])
     )
@@ -381,7 +396,7 @@ def cmd_analyze_simplify(params: dict, out_dir: Path) -> None:
         writer.writerow(["simplified", len(simplified), format_value(after)])
 
 
-def cmd_analyze_reevaluate(params: dict, out_dir: Path) -> None:
+def cmd_analyze_reevaluate(params: dict, out_dir: Path):
     """Error table over problems."""
     _require(params, ["functions", "D"], "analyze reevaluate")
     optimisers = {}
@@ -396,12 +411,10 @@ def cmd_analyze_reevaluate(params: dict, out_dir: Path) -> None:
         make_function(fid, int(params["D"]), int(params["problem_seed"]))
         for fid in params["functions"]
     ]
+    config = _run_config(params, record=False)
+    yield
     report = analysis.reevaluate(
-        list(optimisers.items()),
-        functions,
-        _run_config(params, record=False),
-        runs=int(params["runs"]),
-        jobs=int(params["jobs"]),
+        list(optimisers.items()), functions, config, runs=int(params["runs"]), jobs=int(params["jobs"])
     )
     analysis.write_error_table_csv(out_dir / "errors.csv", report)
     analysis.write_per_run_csv(out_dir / "per_run.csv", report)
@@ -417,25 +430,11 @@ COMMANDS = {
 }
 
 
-# The files besides manifest.json that the commands taking a trajectory
-# write into their output directory; the trajectory may not name one.
-RESULT_FILES = {"run": ("results.csv",), "hybrid": ("results.csv", "pool.json")}
-
-
-def _check_trajectory(command: str, trajectory, out_dir: Path) -> None:
-    if trajectory is None:
-        return
-    target = Path(trajectory).resolve()
-    for name in ("manifest.json", *RESULT_FILES[command]):
-        if target == (out_dir / name).resolve():
-            raise CliError(f"trajectory {trajectory} would overwrite the result file {name}")
-
-
 def execute(command: str, given: dict, out_dir, replay: bool = False) -> None:
-    """Run ``command``, recorded in ``out_dir/manifest.json``. A replay writes
-    a trajectory under ``out_dir``, never over the original run's file. A
-    trajectory path that names one of the command's result files, and a
-    problem descriptor that is refused, fail before anything is written."""
+    """Run ``command``, recorded in ``out_dir/manifest.json``. ``out_dir`` is
+    made only once the command has loaded and checked its inputs. A replay
+    writes a trajectory under ``out_dir``, never over the original run's
+    file."""
     if command not in COMMANDS:
         raise CliError(f"unknown command: {command!r}")
     defaults, fn = COMMANDS[command]
@@ -444,12 +443,11 @@ def execute(command: str, given: dict, out_dir, replay: bool = False) -> None:
     run_params = params
     if replay and params.get("trajectory") is not None:
         run_params = {**params, "trajectory": str(out_dir / Path(params["trajectory"]).name)}
-    _check_trajectory(command, run_params.get("trajectory"), out_dir)
-    if run_params.get("problem_file"):
-        _problem_family(run_params)
+    steps = fn(run_params, out_dir)
+    next(steps)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, command, params)
-    fn(run_params, out_dir)
+    next(steps, None)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +485,7 @@ FLAGS = {
     "jobs": ("--jobs", {"type": int, "help": "parallel worker processes"}),
 }
 
-MODES = {"hybrid": ["per_move", "per_member"], "analyze-usage": ["static", "dynamic"]}
+MODES = {"hybrid": hybrid.MODES, "analyze-usage": ["static", "dynamic"]}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,8 @@ from .problems import Problem
 from .push import Program, parse_program, print_program
 from .rng import stream
 
+MODES = ("per_move", "per_member")  # how members draw programs; the first is the default
+
 
 @dataclass(frozen=True)
 class PoolEntry:
@@ -54,8 +56,8 @@ class PoolSource:
     draw, whatever the swarm size.
     """
 
-    def __init__(self, pool: Pool, rng, mode: str = "per_move"):
-        if mode not in ("per_move", "per_member"):
+    def __init__(self, pool: Pool, rng, mode: str = MODES[0]):
+        if mode not in MODES:
             raise ValueError(f"unknown hybrid mode: {mode}")
         self.pool = pool
         self.rng = rng
@@ -84,7 +86,7 @@ class PoolSource:
         return program
 
 
-def run_hybrid(pool: Pool, problem: Problem, config: RunConfig, mode: str = "per_move") -> RunResult:
+def run_hybrid(pool: Pool, problem: Problem, config: RunConfig, mode: str = MODES[0]) -> RunResult:
     """Run a heterogeneous swarm over ``pool``; behaves exactly like the
     homogeneous harness except for which program each member executes."""
     source = PoolSource(pool, stream(config.seed, "select"), mode)

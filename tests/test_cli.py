@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pushopt.cli import EVOLVE_DEFAULTS, CliError, main, resolve_params
-from pushopt.problems import BenchmarkFunction, register_function
+from pushopt.problems import BenchmarkFunction, problem_family_from_descriptor, register_function
 
 from conftest import EVOLVED_OPTIMISERS
 
@@ -141,6 +141,7 @@ def test_run_missing_program_file_fails_cleanly(tmp_path, capsys):
     )
     assert code != 0
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_unknown_function_fails_cleanly(tmp_path, capsys):
@@ -153,6 +154,7 @@ def test_run_unknown_function_fails_cleanly(tmp_path, capsys):
     )
     assert code != 0
     assert "unsupported function" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _write_checkpoints(tmp_path, n=6):
@@ -212,6 +214,7 @@ def test_hybrid_manifest_and_top_conflict(tmp_path, capsys):
     )
     assert code != 0
     assert "not both" in capsys.readouterr().err
+    assert not (tmp_path / "second").exists()
 
 
 def test_analyze_usage_over_directories(tmp_path):
@@ -391,8 +394,7 @@ def test_run_with_bad_explicit_transform_fails_cleanly(tmp_path, capsys, transfo
     code = run_cli("run", "--program", "(0.0 vector.wrand)", "--problem", descriptor, "--out", str(out))
     assert code == 1
     assert capsys.readouterr().err.startswith("error: transform ")
-    assert not (out / "results.csv").exists()
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -408,8 +410,7 @@ def test_run_with_bad_bounds_override_fails_cleanly(tmp_path, capsys, bounds):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error: bounds_override ")
-    assert not (out / "results.csv").exists()
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 # Objectives whose values cannot be feedback: inf everywhere (so already at
@@ -511,6 +512,7 @@ def test_evolve_rejects_unknown_instruction_name(tmp_path, capsys):
     code = run_cli("evolve", "--config", config, "--out", str(tmp_path / "out"))
     assert code != 0
     assert "unknown instructions" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _golden_cases(tmp_path):
@@ -732,6 +734,7 @@ def test_bad_manifest_or_config_fails_cleanly(tmp_path, capsys, command, payload
     flag = "--manifest" if command == "replay" else "--config"
     assert run_cli(command, flag, path, "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 TRAJECTORY_CLASHES = [
@@ -785,22 +788,24 @@ def test_usage_top_below_one_fails_cleanly(tmp_path, capsys, mode, top):
     assert not (tmp_path / "out" / "usage.csv").exists()
 
 
+# ``checked_first`` marks the counts checked before --out is made; runs and
+# jobs are checked only once the command runs.
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, checked_first",
     [
-        (["analyze", "reevaluate", "--runs", "0"], None),
-        (["analyze", "reevaluate", "--jobs", "0"], None),
-        (["analyze", "reevaluate", "--jobs", "-3"], None),
-        (["evolve"], {"tournament": 0}),
-        (["evolve", "--jobs", "0"], {}),
-        (["evolve", "--jobs", "-3"], {}),
-        (["evolve"], {"gens": -1}),
-        (["evolve"], {"size_limit": 0}),
+        (["analyze", "reevaluate", "--runs", "0"], None, False),
+        (["analyze", "reevaluate", "--jobs", "0"], None, False),
+        (["analyze", "reevaluate", "--jobs", "-3"], None, False),
+        (["evolve"], {"tournament": 0}, True),
+        (["evolve", "--jobs", "0"], {}, False),
+        (["evolve", "--jobs", "-3"], {}, False),
+        (["evolve"], {"gens": -1}, True),
+        (["evolve"], {"size_limit": 0}, True),
     ],
     ids=["reevaluate-runs-0", "reevaluate-jobs-0", "reevaluate-jobs-neg", "evolve-tournament-0",
          "evolve-jobs-0", "evolve-jobs-neg", "evolve-gens-neg", "evolve-size-limit-0"],
 )
-def test_out_of_range_count_fails_cleanly(tmp_path, capsys, argv, config):
+def test_out_of_range_count_fails_cleanly(tmp_path, capsys, argv, config, checked_first):
     if config is None:
         program = tmp_path / "origin.txt"
         program.write_text("(0.0 vector.wrand)\n")
@@ -810,6 +815,8 @@ def test_out_of_range_count_fails_cleanly(tmp_path, capsys, argv, config):
         argv = argv + ["--config", write_json(tmp_path / "config.json", {**base, **config})]
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    if checked_first:
+        assert not (tmp_path / "out").exists()
 
 
 # Inline program text longer than a file name may be (255 bytes on common
@@ -877,3 +884,96 @@ def test_malformed_pool_or_checkpoint_fails_cleanly(tmp_path, capsys, build, pay
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def _usage_over(*paths):
+    return ["analyze", "usage", "--checkpoints", *map(str, paths)]
+
+
+def _malformed_checkpoints(tmp_path):
+    # Two groups whose second holds a malformed line, so reading group by
+    # group while writing would leave the first group's table behind.
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "gen_0000.jsonl").write_text('{"fitness": 1.0}\n')
+    return _write_checkpoints(tmp_path / "good"), bad
+
+
+def _evolve_with(tmp_path, **config):
+    return ["evolve", "--config", write_json(tmp_path / "config.json", {"function": "F1", "D": 2, **config})]
+
+
+ORIGIN = "(0.0 vector.wrand)"
+
+# One bad input per case: the argv without --dim, --moves and --out, built
+# in a temporary directory, and a part of the one error line it must print.
+BAD_INPUTS = {
+    "run-unknown-function": (lambda d: ["run", "--program", ORIGIN, "--function", "F99"], "F99"),
+    "hybrid-unknown-function": (
+        lambda d: ["hybrid", "--dir", str(_write_checkpoints(d)), "--function", "F99"], "F99"),
+    "evolve-unknown-function": (lambda d: _evolve_with(d, function="F99"), "F99"),
+    "usage-unknown-function": (
+        lambda d: [*_usage_over(_write_checkpoints(d)), "--mode", "dynamic", "--function", "F99"], "F99"),
+    "simplify-unknown-function": (
+        lambda d: ["analyze", "simplify", "--program", ORIGIN, "--function", "F99"], "F99"),
+    "reevaluate-unknown-function": (
+        lambda d: ["analyze", "reevaluate", "--programs", ORIGIN, "--functions", "F1", "F99"], "F99"),
+    "run-missing-program": (
+        lambda d: ["run", "--program", str(d / "missing.txt"), "--function", "F1"], "missing.txt"),
+    "simplify-missing-program": (
+        lambda d: ["analyze", "simplify", "--program", str(d / "missing.txt"), "--function", "F1"],
+        "missing.txt"),
+    "reevaluate-missing-program": (
+        lambda d: ["analyze", "reevaluate", "--programs", ORIGIN, str(d / "missing.txt"), "--functions", "F1"],
+        "missing.txt"),
+    "hybrid-missing-pool": (
+        lambda d: ["hybrid", "--pool", str(d / "missing.json"), "--function", "F1"], "missing.json"),
+    "reevaluate-missing-pool": (
+        lambda d: ["analyze", "reevaluate", "--pools", str(d / "missing.json"), "--functions", "F1"],
+        "missing.json"),
+    "hybrid-missing-dir": (
+        lambda d: ["hybrid", "--dir", str(d / "missing"), "--function", "F1"], "no checkpoint files in"),
+    "hybrid-empty-dir": (lambda d: ["hybrid", "--dir", str(d), "--function", "F1"], "no checkpoint files in"),
+    "usage-missing-path": (lambda d: _usage_over(d / "missing"), "checkpoint path not found"),
+    "usage-empty-dir": (lambda d: _usage_over(d), "no checkpoint files in"),
+    "hybrid-malformed-checkpoint": (
+        lambda d: ["hybrid", "--dir", str(_malformed_checkpoints(d)[1]), "--function", "F1"],
+        'gen_0000.jsonl:1 is not a JSON object with "program"'),
+    "usage-malformed-checkpoint": (
+        lambda d: _usage_over(*_malformed_checkpoints(d)),
+        'gen_0000.jsonl:1 is not a JSON object with "program"'),
+    "evolve-unknown-instruction": (
+        lambda d: _evolve_with(d, instructions=["vector.teleport"]), "unknown instructions"),
+    "evolve-rates-off-one": (
+        lambda d: _evolve_with(d, rates={"crossover": 0.5, "mutation": 0.4, "reproduction": 0.2}),
+        "operator rates must sum to 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_fails_before_out_is_made(tmp_path, capsys, case):
+    build, message = BAD_INPUTS[case]
+    work = tmp_path / "work"
+    work.mkdir()
+    out = tmp_path / "out"
+    assert run_cli(*build(work), "--dim", "2", "--moves", "3", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_problem_descriptor_is_read_once(tmp_path, monkeypatch):
+    reads = []
+
+    def counted(raw):
+        reads.append(raw)
+        return problem_family_from_descriptor(raw)
+
+    monkeypatch.setattr("pushopt.cli.problem_family_from_descriptor", counted)
+    descriptor = write_json(tmp_path / "problem.json", {"id": "F1", "D": 2, "transform": "identity"})
+    argv = ["--program", ORIGIN, "--problem", descriptor, "--moves", "3", "--repeats", "2"]
+    assert run_cli("run", *argv, "--out", str(tmp_path / "run")) == 0
+    assert run_cli("analyze", "simplify", *argv, "--out", str(tmp_path / "simplify")) == 0
+    assert len(reads) == 2
