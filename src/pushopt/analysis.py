@@ -7,11 +7,11 @@ import csv
 from dataclasses import dataclass, replace
 from itertools import islice
 
-from .harness import RunConfig, fitness, format_value, run_optimisation
+from .harness import RunConfig, fitness, format_value, init_swarm, run_optimisation, step_swarm
 from .hybrid import Pool, run_hybrid
 from .parallel import worker_pool
 from .problems import Problem, ProblemFamily
-from .push import Program
+from .push import Program, instruction_errstate
 from .rng import derive_seed, stream
 
 
@@ -59,9 +59,14 @@ def dynamic_instruction_usage(
     once per family instance under ``config``."""
     _check_usage_args(programs, top)
     counts = {}
-    for i, program in enumerate(programs):
-        problem = family.instance(stream(config.seed, "usage", i))
-        run_optimisation(program, problem, config, usage=counts)
+    with instruction_errstate():
+        for i, program in enumerate(programs):
+            problem = family.instance(stream(config.seed, "usage", i))
+            swarm = init_swarm(program, problem, config)
+            for member in swarm.members:
+                member.state.usage = counts
+            for move in range(1, config.moves + 1):
+                step_swarm(swarm, problem, move)
     return _usage_rows(counts, top)
 
 

@@ -178,10 +178,16 @@ def _problem_family(params: dict) -> ProblemFamily:
         randomize=(params["transforms"] == "random"),
         ranges=DEFAULT_TRANSFORM_RANGES if ranges is None else TransformRanges(
             translate_frac=float(ranges["translate_frac"]),
-            scale=tuple(ranges["scale"]),
+            scale=tuple(map(float, ranges["scale"])),
             flip_prob=float(ranges["flip_prob"]),
         ),
     )
+
+
+def _mode(params: dict, command: str) -> str:
+    if params["mode"] not in MODES[command]:
+        raise CliError(f"unknown {command} mode: {params['mode']!r}")
+    return params["mode"]
 
 
 def _run_config(params: dict, record: bool) -> RunConfig:
@@ -307,9 +313,10 @@ def cmd_hybrid(params: dict, out_dir: Path):
         pool = hybrid.build_pool(_checkpoint_files(params["dir"]), top_n=top)
     else:
         raise CliError("hybrid requires a pool manifest or a checkpoint dir")
+    mode = _mode(params, "hybrid")
 
     def runner(problem, run_config):
-        return hybrid.run_hybrid(pool, problem, run_config, mode=params["mode"])
+        return hybrid.run_hybrid(pool, problem, run_config, mode=mode)
 
     yield from _repeat_and_write(runner, params, out_dir, ("pool.json",))
     hybrid.write_pool_manifest(pool, out_dir / "pool.json")
@@ -357,13 +364,14 @@ def cmd_analyze_usage(params: dict, out_dir: Path):
         for label, files in _collect_checkpoints(params["checkpoints"]).items()
     }
     top = int(params["top"])
-    if params["mode"] == "dynamic":
+    dynamic = _mode(params, "analyze-usage") == "dynamic"
+    if dynamic:
         family = _problem_family({**params, "transforms": "random"})
         config = _run_config(params, record=False)
     yield
     per_label = {}
     for label, programs in groups.items():
-        if params["mode"] == "dynamic":
+        if dynamic:
             rows = analysis.dynamic_instruction_usage(programs, family, config, top=top)
         else:
             rows = analysis.instruction_usage(programs, top=top)

@@ -52,6 +52,8 @@ class RunConfig:
             raise ValueError("swarm size must be >= 1")
         if self.moves < 1:
             raise ValueError("moves must be >= 1")
+        if self.execution_limit < 1:
+            raise ValueError("execution limit must be >= 1")
 
     @property
     def budget(self) -> int:
@@ -112,7 +114,6 @@ class Swarm:
     config: RunConfig
     context: SwarmContext
     trajectory: list = None
-    usage: dict = None
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def _evaluate(problem: Problem, point: np.ndarray) -> float:
     return value
 
 
-def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) -> Swarm:
+def init_swarm(source, problem: Problem, config: RunConfig) -> Swarm:
     """Initialise and evaluate the swarm (one evaluation per member).
 
     Each member starts at a random point within bounds with cleared stacks;
@@ -169,6 +170,7 @@ def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) 
             dim=problem.dim,
             rng=stream(config.seed, "member", p),
             inputs=(lower, upper),
+            step_limit=config.execution_limit,
         )
         point = init_rng.uniform(lower, upper, problem.dim)
         value = _evaluate(problem, point)
@@ -182,6 +184,9 @@ def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) 
             pbest_point = point
         if trajectory is not None:
             trajectory.append(TrajectoryRow(0, p, point, value, True, pbest))
+    context = SwarmContext([m.point for m in members], [m.best for m in members])
+    for member in members:
+        member.state.ctx = context
     source.on_init(config.swarm_size)
     return Swarm(
         members=members,
@@ -191,9 +196,8 @@ def init_swarm(source, problem: Problem, config: RunConfig, usage: dict = None) 
         evaluations_used=config.swarm_size,
         source=source,
         config=config,
-        context=SwarmContext([m.point for m in members], [m.best for m in members]),
+        context=context,
         trajectory=trajectory,
-        usage=usage,
     )
 
 
@@ -224,8 +228,6 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
     instructions detect non-finite results through the errors it raises.
     """
     lower, upper = problem.bounds
-    limit = swarm.config.execution_limit
-    usage = swarm.usage
     select = swarm.source.select
     ctx = swarm.context
     members = swarm.members
@@ -240,7 +242,7 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
         integers.append(index)
         integers.append(swarm.pbestindex)
         previous = member.value
-        run_move(state, program, ctx, limit, usage=usage)
+        run_move(state, program)
         if state.vectors:
             proposal = state.vectors[-1]
             member.point = proposal
@@ -292,9 +294,9 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
     return swarm
 
 
-def run_with_source(source, problem: Problem, config: RunConfig, usage: dict = None) -> RunResult:
+def run_with_source(source, problem: Problem, config: RunConfig) -> RunResult:
     with instruction_errstate():
-        swarm = init_swarm(source, problem, config, usage=usage)
+        swarm = init_swarm(source, problem, config)
         for move in range(1, config.moves + 1):
             step_swarm(swarm, problem, move)
     return RunResult(
@@ -306,9 +308,9 @@ def run_with_source(source, problem: Problem, config: RunConfig, usage: dict = N
     )
 
 
-def run_optimisation(program: Program, problem: Problem, config: RunConfig, usage: dict = None) -> RunResult:
+def run_optimisation(program: Program, problem: Problem, config: RunConfig) -> RunResult:
     """Run one program as an optimiser; deterministic given config.seed."""
-    return run_with_source(FixedSource(program), problem, config, usage=usage)
+    return run_with_source(FixedSource(program), problem, config)
 
 
 def repeated_runs(runner, family: ProblemFamily, repeats: int, config: RunConfig) -> FitnessReport:

@@ -199,6 +199,14 @@ class TransformRanges:
     scale: tuple[float, float] = (0.5, 2.0)
     flip_prob: float = 0.5
 
+    def __post_init__(self):
+        if len(self.scale) != 2 or not 0.0 < self.scale[0] <= self.scale[1] < math.inf:
+            raise ValueError("transform scale range must be two finite numbers with 0 < low <= high")
+        if not 0.0 <= self.flip_prob <= 1.0:
+            raise ValueError("transform flip_prob must be in [0, 1]")
+        if not 0.0 <= self.translate_frac < math.inf:
+            raise ValueError("transform translate_frac must be finite and >= 0")
+
 
 DEFAULT_TRANSFORM_RANGES = TransformRanges()
 

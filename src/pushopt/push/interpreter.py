@@ -17,7 +17,7 @@ from types import FunctionType
 
 import numpy as np
 
-from .state import DEFAULT_EXECUTION_LIMIT, InterpreterState, SwarmContext
+from .state import InterpreterState
 
 # Every instruction by name, in registration order (see ``ops``).
 REGISTRY: dict = {}
@@ -33,7 +33,6 @@ def instruction(name, touches_exec=False):
     """
 
     def register(fn):
-        fn.push_name = name
         fn.touches_exec = touches_exec
         REGISTRY[name] = fn
         return fn
@@ -45,7 +44,7 @@ class UnknownInstructionError(KeyError):
     pass
 
 
-def _run_exec(state: InterpreterState, ctx) -> None:
+def _run_exec(state: InterpreterState) -> None:
     # Hot loop: stacks are only ever mutated in place, so aliases of their
     # methods stay valid. The step count is synced with state.steps_used
     # around instruction calls (vector.apply/zip nest on it) and on exit.
@@ -67,7 +66,7 @@ def _run_exec(state: InterpreterState, ctx) -> None:
             fn = registry.get(item)
             if fn is None:
                 raise UnknownInstructionError(item)
-            fn(state, ctx)
+            fn(state)
             steps = state.steps_used
             if usage is not None:
                 usage[item] = usage.get(item, 0) + 1
@@ -94,11 +93,11 @@ def instruction_errstate():
     on this state: outside it they would push non-finite vectors.
     ``run_with_source`` enters it once per run, around the objective's
     evaluations too; code that calls ``run_move``, ``step_swarm`` or
-    ``REGISTRY[name](state, ctx)`` directly must enter it as well, for
+    ``REGISTRY[name](state)`` directly must enter it as well, for
     example around a whole loop of such calls::
 
         with instruction_errstate():
-            REGISTRY["vector.+"](state, ctx)
+            REGISTRY["vector.+"](state)
     """
     return np.errstate(over="raise", invalid="raise", divide="raise", under="ignore")
 
@@ -130,7 +129,7 @@ def resolve_plan(items) -> tuple:
     return tuple(plan)
 
 
-def run_steps(state: InterpreterState, ctx, steps) -> None:
+def run_steps(state: InterpreterState, steps) -> None:
     """Run plan steps (see ``resolve_plan``) taken from the iterator
     ``steps``, without the exec stack or the step counters, which the
     caller keeps. When a step raises, the iterator has handed out every
@@ -139,7 +138,7 @@ def run_steps(state: InterpreterState, ctx, steps) -> None:
         # Instructions first: literals are rare in programs.
         kind = type(step)
         if kind is FunctionType:
-            step(state, ctx)
+            step(state)
         elif kind is float:
             state.floats.append(step)
         elif kind is int:
@@ -148,41 +147,29 @@ def run_steps(state: InterpreterState, ctx, steps) -> None:
             state.booleans.append(step)
 
 
-def run_move(
-    state: InterpreterState,
-    program,
-    ctx: SwarmContext = None,
-    limit: int = DEFAULT_EXECUTION_LIMIT,
-    usage: dict = None,
-) -> InterpreterState:
+def run_move(state: InterpreterState, program) -> InterpreterState:
     """Execute one move of ``program`` against ``state``.
 
     The exec stack is cleared and reloaded with the program items; execution
-    proceeds until the exec stack empties or ``limit`` item executions have
-    been counted (literals and group unpacks count). All other stacks
+    proceeds until the exec stack empties or ``step_limit`` item executions
+    have been counted (literals and group unpacks count). All other stacks
     persist between moves. The caller enters ``instruction_errstate``, as
     ``run_with_source`` does once around all of its moves.
 
-    While ``usage`` is None, the items of ``program.plan`` run first, in
-    program order and without the exec stack, which none of them can see;
-    the remaining items are then loaded onto the exec stack for the general
-    loop. Step counts and leftover exec items are those of running every
-    item through the loop, also when the limit cuts the plan short or an
-    instruction raises. A ``usage`` dict is counted by the general loop
+    While ``state.usage`` is None, the items of ``program.plan`` run first,
+    in program order and without the exec stack, which none of them can
+    see; the remaining items are then loaded onto the exec stack for the
+    general loop. Step counts and leftover exec items are those of running
+    every item through the loop, also when the limit cuts the plan short or
+    an instruction raises. A ``usage`` dict is counted by the general loop
     alone, so with one every item runs through it.
     """
-    if limit <= 0:
-        raise ValueError("execution limit must be positive")
     items = program.items
-    plan = program.plan if usage is None else ()
-    if len(plan) > limit:
-        plan = plan[:limit]
+    plan = program.plan[: state.step_limit] if state.usage is None else ()
     state.exec.clear()
-    state.step_limit = limit
-    state.usage = usage
     steps = iter(plan)
     try:
-        run_steps(state, ctx, steps)
+        run_steps(state, steps)
     except BaseException:
         # The loop counts the raising item as a step and leaves the items
         # after it on the exec stack.
@@ -195,6 +182,6 @@ def run_move(
     if ran < len(items):
         # The cached tail follows a whole plan; a plan the limit cut short
         # leaves more items, which the loop then does not run.
-        state.exec.extend(program.tail if plan is program.plan else reversed(items[ran:]))
-        _run_exec(state, ctx)
+        state.exec.extend(program.tail if ran == len(program.plan) else reversed(items[ran:]))
+        _run_exec(state)
     return state

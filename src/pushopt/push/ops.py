@@ -15,8 +15,8 @@ Conventions shared by all instructions:
   results are additionally bounded to 64-bit signed range.
 - Binary operators follow stack convention: with b on top of a, the result
   is ``a OP b`` (so ``float.-`` computes second minus top).
-- Every instruction function returns True if it executed and False if it
-  degraded to a no-op.
+- Every instruction function takes the interpreter state alone and
+  returns True if it executed and False if it degraded to a no-op.
 - Every value on every stack is finite: literals are finite (``Program``
   rejects others), protected arithmetic refuses non-finite results and the
   harness pushes only finite objective values.
@@ -25,12 +25,12 @@ Conventions shared by all instructions:
   ``interpreter``).
 - Instructions run under ``interpreter.instruction_errstate``, which
   ``run_with_source`` enters once per run; direct callers of ``run_move``,
-  ``step_swarm`` or ``REGISTRY[name]`` enter it themselves. Correctness, not
-  only quiet, depends on it: vector arithmetic learns that a result is
-  non-finite from the ``FloatingPointError`` the state raises for
-  overflow, invalid and divide-by-zero flags. With finite operands, an
-  elementwise result is non-finite exactly when one of those flags is
-  set; outside the state a non-finite vector would be pushed.
+  ``step_swarm`` or ``REGISTRY[name](state)`` enter it themselves.
+  Correctness, not only quiet, depends on it: vector arithmetic learns that
+  a result is non-finite from the ``FloatingPointError`` the state raises
+  for overflow, invalid and divide-by-zero flags. With finite operands, an
+  elementwise result is non-finite exactly when one of those flags is set;
+  outside the state a non-finite vector would be pushed.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ _STACK_ATTRS = {
 
 
 def _make_dup(attr):
-    def op(state, ctx):
+    def op(state):
         stack = getattr(state, attr)
         if not stack:
             return False
@@ -84,7 +84,7 @@ def _make_dup(attr):
 
 
 def _make_pop(attr):
-    def op(state, ctx):
+    def op(state):
         stack = getattr(state, attr)
         if not stack:
             return False
@@ -95,7 +95,7 @@ def _make_pop(attr):
 
 
 def _make_flush(attr):
-    def op(state, ctx):
+    def op(state):
         getattr(state, attr).clear()
         return True
 
@@ -103,7 +103,7 @@ def _make_flush(attr):
 
 
 def _make_swap(attr):
-    def op(state, ctx):
+    def op(state):
         stack = getattr(state, attr)
         if len(stack) < 2:
             return False
@@ -114,7 +114,7 @@ def _make_swap(attr):
 
 
 def _make_rot(attr):
-    def op(state, ctx):
+    def op(state):
         stack = getattr(state, attr)
         if len(stack) < 3:
             return False
@@ -125,7 +125,7 @@ def _make_rot(attr):
 
 
 def _make_stackdepth(attr):
-    def op(state, ctx):
+    def op(state):
         state.integers.append(len(getattr(state, attr)))
         return True
 
@@ -136,7 +136,7 @@ def _make_yank(attr, duplicate):
     # Pops an index from the integer stack, then moves (or copies) the item
     # that deep from the top of the target stack to the top. The index is
     # clamped into range.
-    def op(state, ctx):
+    def op(state):
         ints = state.integers
         stack = getattr(state, attr)
         need = 2 if stack is ints else 1
@@ -161,7 +161,7 @@ def _make_yank(attr, duplicate):
 def _make_shove(attr):
     # Pops an index from the integer stack, then moves the top item of the
     # target stack so that it sits that deep from the top (clamped).
-    def op(state, ctx):
+    def op(state):
         ints = state.integers
         stack = getattr(state, attr)
         need = 2 if stack is ints else 1
@@ -194,27 +194,27 @@ for _name, _attr in _STACK_ATTRS.items():
 
 
 @instruction("boolean.rand")
-def _boolean_rand(state, ctx):
+def _boolean_rand(state):
     state.booleans.append(bool(state.rng.random() < 0.5))
     return True
 
 
 @instruction("integer.rand")
-def _integer_rand(state, ctx):
+def _integer_rand(state):
     lo, hi = INTEGER_RAND
     state.integers.append(uniform_int(state.rng, lo, hi + 1))
     return True
 
 
 @instruction("float.rand")
-def _float_rand(state, ctx):
+def _float_rand(state):
     # FLOAT_RAND is [0, 1), the range of random() itself.
     state.floats.append(state.rng.random())
     return True
 
 
 @instruction("vector.rand")
-def _vector_rand(state, ctx):
+def _vector_rand(state):
     state.vectors.append(state.rng.uniform(*VECTOR_RAND, state.dim))
     return True
 
@@ -226,7 +226,7 @@ def _vector_rand(state, ctx):
 
 def _boolean_binary(name, fn):
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         bs = state.booleans
         if len(bs) < 2:
             return False
@@ -245,7 +245,7 @@ _boolean_binary("boolean.xor", operator.ne)
 
 
 @instruction("boolean.not")
-def _boolean_not(state, ctx):
+def _boolean_not(state):
     bs = state.booleans
     if not bs:
         return False
@@ -255,7 +255,7 @@ def _boolean_not(state, ctx):
 
 def _convert(name, source, target, fn):
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         values = getattr(state, source)
         if not values:
             return False
@@ -276,7 +276,7 @@ _convert("boolean.frominteger", "integers", "booleans", bool)
 
 def _float_binary(name, fn):
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         fs = state.floats
         if len(fs) < 2:
             return False
@@ -298,7 +298,7 @@ def _float_binary(name, fn):
 
 def _float_unary(name, fn):
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         fs = state.floats
         if not fs:
             return False
@@ -316,7 +316,7 @@ def _float_unary(name, fn):
 
 def _compare(name, stack, fn):
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         values = getattr(state, stack)
         if len(values) < 2:
             return False
@@ -370,7 +370,7 @@ def _trunc_mod(a, b):
 
 def _int_binary(name, fn):
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         ints = state.integers
         if len(ints) < 2:
             return False
@@ -413,7 +413,7 @@ _compare("integer.=", "integers", operator.eq)
 
 def _int_unary(name, fn):
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         ints = state.integers
         if not ints:
             return False
@@ -430,7 +430,7 @@ _int_unary("integer.neg", operator.neg)
 def _int_log(name, base_log):
     # Truncated logarithm of a positive integer.
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         ints = state.integers
         if not ints or ints[-1] <= 0:
             return False
@@ -448,7 +448,7 @@ _convert("integer.fromboolean", "booleans", "integers", int)
 
 
 @instruction("integer.fromfloat")
-def _integer_fromfloat(state, ctx):
+def _integer_fromfloat(state):
     fs = state.floats
     if not fs:
         return False
@@ -466,12 +466,12 @@ def _integer_fromfloat(state, ctx):
 
 
 @instruction("exec.noop")
-def _exec_noop(state, ctx):
+def _exec_noop(state):
     return True
 
 
 @instruction("exec.=", touches_exec=True)
-def _exec_eq(state, ctx):
+def _exec_eq(state):
     ex = state.exec
     if len(ex) < 2:
         return False
@@ -486,7 +486,7 @@ def _exec_branch(name, stack, arity, test):
     # puts back the top item when ``test`` of the values (deepest first)
     # holds and the one below it otherwise.
     @instruction(name, touches_exec=True)
-    def op(state, ctx):
+    def op(state):
         values = getattr(state, stack)
         ex = state.exec
         if len(values) < arity or len(ex) < 2:
@@ -517,7 +517,7 @@ def _body_plan(body):
     return plan if len(plan) == len(items) else None
 
 
-def _do_range(state, ctx, current, dest, body):
+def _do_range(state, current, dest, body):
     # One entry of exec.do*range at index ``current``. Through the exec
     # stack an iteration is the body, the unpack of the continuation group,
     # its two integer literals and the re-entry. A plain body cannot see the
@@ -540,7 +540,7 @@ def _do_range(state, ctx, current, dest, body):
             try:
                 while steps + cost <= limit:
                     body_steps = iter(plan)
-                    run_steps(state, ctx, body_steps)
+                    run_steps(state, body_steps)
                     steps += cost
                     current += step
                     ints.append(current)
@@ -565,7 +565,7 @@ def _do_range(state, ctx, current, dest, body):
     return True
 
 
-def _enter_loop(state, ctx, n, body):
+def _enter_loop(state, n, body):
     # exec.do*count and exec.do*times: while usage is not counted, the loop
     # group's unpack, its two literals and the first re-entry run at once
     # when those 4 steps fit.
@@ -573,11 +573,11 @@ def _enter_loop(state, ctx, n, body):
         state.exec.append((0, n - 1, "exec.do*range", body))
         return True
     state.steps_used += 4
-    return _do_range(state, ctx, 0, n - 1, body)
+    return _do_range(state, 0, n - 1, body)
 
 
 @instruction("exec.do*range", touches_exec=True)
-def _exec_do_range(state, ctx):
+def _exec_do_range(state):
     # Top integer is the destination index, second the current index. The
     # body (next exec item) runs once per index with the index pushed to the
     # integer stack; re-entry is a grouped continuation on the exec stack,
@@ -586,24 +586,24 @@ def _exec_do_range(state, ctx):
         return False
     dest = state.integers.pop()
     current = state.integers.pop()
-    return _do_range(state, ctx, current, dest, state.exec.pop())
+    return _do_range(state, current, dest, state.exec.pop())
 
 
 @instruction("exec.do*count", touches_exec=True)
-def _exec_do_count(state, ctx):
+def _exec_do_count(state):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
         return False
-    return _enter_loop(state, ctx, ints.pop(), state.exec.pop())
+    return _enter_loop(state, ints.pop(), state.exec.pop())
 
 
 @instruction("exec.do*times", touches_exec=True)
-def _exec_do_times(state, ctx):
+def _exec_do_times(state):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
         return False
     hidden = ("integer.pop", state.exec.pop())
-    return _enter_loop(state, ctx, ints.pop(), hidden)
+    return _enter_loop(state, ints.pop(), hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +627,7 @@ def push_value(state: InterpreterState, value) -> None:
 
 def _input_all(name, order):
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         if not state.inputs:
             return False
         for value in order(state.inputs):
@@ -642,7 +642,7 @@ _input_all("input.inallrev", reversed)
 
 
 @instruction("input.index")
-def _input_index(state, ctx):
+def _input_index(state):
     if not state.integers or not state.inputs:
         return False
     index = state.integers.pop()
@@ -651,7 +651,7 @@ def _input_index(state, ctx):
 
 
 @instruction("input.stackdepth")
-def _input_stackdepth(state, ctx):
+def _input_stackdepth(state):
     state.integers.append(len(state.inputs))
     return True
 
@@ -663,7 +663,7 @@ def _input_stackdepth(state, ctx):
 
 def _vector_pairwise(name, fn):
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         vs = state.vectors
         if len(vs) < 2:
             return False
@@ -686,7 +686,7 @@ _vector_pairwise("vector./", operator.truediv)
 
 
 @instruction("vector.scale")
-def _vector_scale(state, ctx):
+def _vector_scale(state):
     if not state.vectors or not state.floats:
         return False
     try:
@@ -700,7 +700,7 @@ def _vector_scale(state, ctx):
 
 
 @instruction("vector.dprod")
-def _vector_dprod(state, ctx):
+def _vector_dprod(state):
     vs = state.vectors
     if len(vs) < 2:
         return False
@@ -721,7 +721,7 @@ def _vector_dprod(state, ctx):
 
 
 @instruction("vector.mag")
-def _vector_mag(state, ctx):
+def _vector_mag(state):
     vs = state.vectors
     if not vs:
         return False
@@ -740,7 +740,7 @@ def _vector_mag(state, ctx):
 def _vector_dim(name, fn):
     # Modify one component, selected by the integer index modulo dim.
     @instruction(name)
-    def op(state, ctx):
+    def op(state):
         if not state.vectors or not state.floats or not state.integers:
             return False
         index = state.integers[-1] % state.dim
@@ -762,7 +762,7 @@ _vector_dim("vector.dim*", operator.mul)
 
 
 @instruction("vector.between")
-def _vector_between(state, ctx):
+def _vector_between(state):
     # Point on the line through the two top vectors at parameter t (popped
     # from the float stack); t outside [0, 1] extrapolates the line.
     vs = state.vectors
@@ -783,7 +783,7 @@ def _vector_between(state, ctx):
 
 
 @instruction("vector.urand")
-def _vector_urand(state, ctx):
+def _vector_urand(state):
     norm = 0.0
     while norm == 0.0:
         g = state.rng.normal(size=state.dim)
@@ -793,7 +793,7 @@ def _vector_urand(state, ctx):
 
 
 @instruction("vector.wrand")
-def _vector_wrand(state, ctx):
+def _vector_wrand(state):
     # Random vector with every component in [-f, f], f popped from floats.
     if not state.floats:
         return False
@@ -808,14 +808,14 @@ def _vector_wrand(state, ctx):
 def _vector_lookup(name, source):
     # Fetch another member's current or best point; an empty integer stack
     # or a negative index resolves to the executing member itself.
-    def op(state, ctx):
-        if ctx is None:
+    def op(state):
+        if state.ctx is None:
             return False
         index = None
         if state.integers:
             index = state.integers.pop()
-        target = ctx.resolve(index)
-        state.vectors.append(getattr(ctx, source)[target])
+        target = state.ctx.resolve(index)
+        state.vectors.append(getattr(state.ctx, source)[target])
         return True
 
     return instruction(name)(op)
@@ -841,7 +841,7 @@ def _vector_map(name, arity):
     # ends with the private stack empty or the step limit reached, so every
     # run starts on an empty one.
     @instruction(name, touches_exec=True)
-    def op(state, ctx):
+    def op(state):
         vs = state.vectors
         if len(vs) < arity or not state.exec:
             return False
@@ -861,11 +861,11 @@ def _vector_map(name, arity):
                     floats.extend(components)
                     if direct:
                         state.steps_used += 1
-                        fn(state, ctx)
+                        fn(state)
                     else:
                         private.append(body)
                     if private:
-                        _run_exec(state, ctx)
+                        _run_exec(state)
                     if floats:
                         c = floats.pop()
                 out.append(c)

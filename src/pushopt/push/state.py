@@ -34,7 +34,9 @@ class SwarmContext:
 
 @dataclass
 class InterpreterState:
-    """The six stacks of one interpreter plus its RNG and step accounting.
+    """The six stacks of one interpreter plus its RNG, step accounting and
+    run settings: ``step_limit``, the swarm ``ctx`` that ``vector.current``
+    and ``vector.best`` read, and an optional instruction ``usage`` count.
 
     A state is single-owner: it is never shared between interpreters. The
     input stack is fixed at seeding time and never modified by execution.
@@ -53,8 +55,11 @@ class InterpreterState:
     steps_used: int = 0
     step_limit: int = DEFAULT_EXECUTION_LIMIT
     usage: dict = None
+    ctx: SwarmContext = None
 
     def __post_init__(self):
+        if self.step_limit < 1:
+            raise ValueError("execution limit must be >= 1")
         if self.rng is None:
             self.rng = np.random.default_rng()
 

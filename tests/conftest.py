@@ -75,8 +75,8 @@ def evolved_programs():
     return {fid: parse_program(text) for fid, text in EVOLVED_OPTIMISERS.items()}
 
 
-def fresh_state(dim=2, seed=0, inputs=(-1.0, 1.0)):
-    return InterpreterState(dim=dim, rng=np.random.default_rng(seed), inputs=inputs)
+def fresh_state(dim=2, seed=0, inputs=(-1.0, 1.0), **settings):
+    return InterpreterState(dim=dim, rng=np.random.default_rng(seed), inputs=inputs, **settings)
 
 
 def solo_context(dim=2):

@@ -70,12 +70,12 @@ def _fuzz_states(dim, count, seed):
     for i in range(count):
         st = InterpreterState(dim=dim, rng=np.random.default_rng(i), inputs=(-5.0, 5.0))
         refill(st)
-        ctx = SwarmContext(
+        st.ctx = SwarmContext(
             [rng.uniform(-5, 5, dim) for _ in range(5)],
             [rng.uniform(-5, 5, dim) for _ in range(5)],
             int(rng.integers(5)),
         )
-        states.append((st, ctx))
+        states.append(st)
     return rng, states, refill
 
 
@@ -119,7 +119,7 @@ def test_criterion_1_interpreter_conformance():
     # Direct instruction calls enter the error state run_move would.
     with instruction_errstate():
         for k in range(applications):
-            st, ctx = states[k & 31]
+            st = states[k & 31]
             if (k & 255) == 0:
                 for stack in (st.floats, st.integers, st.booleans, st.vectors, st.exec):
                     del stack[:-8]
@@ -129,7 +129,7 @@ def test_criterion_1_interpreter_conformance():
             st.usage = None
             name = names[int(rng.integers(len(names)))]
             before = _snap(st)
-            applied = REGISTRY[name](st, ctx)
+            applied = REGISTRY[name](st)
             if not applied:
                 noops += 1
                 assert _stacks_equal(before, _snap(st)), name

@@ -801,9 +801,12 @@ def test_usage_top_below_one_fails_cleanly(tmp_path, capsys, mode, top):
         (["evolve", "--jobs", "-3"], {}, False),
         (["evolve"], {"gens": -1}, True),
         (["evolve"], {"size_limit": 0}, True),
+        (["analyze", "reevaluate", "--execution-limit", "0"], None, True),
+        (["evolve"], {"execution_limit": 0}, True),
     ],
     ids=["reevaluate-runs-0", "reevaluate-jobs-0", "reevaluate-jobs-neg", "evolve-tournament-0",
-         "evolve-jobs-0", "evolve-jobs-neg", "evolve-gens-neg", "evolve-size-limit-0"],
+         "evolve-jobs-0", "evolve-jobs-neg", "evolve-gens-neg", "evolve-size-limit-0",
+         "reevaluate-execution-limit-0", "evolve-execution-limit-0"],
 )
 def test_out_of_range_count_fails_cleanly(tmp_path, capsys, argv, config, checked_first):
     if config is None:
@@ -948,6 +951,15 @@ BAD_INPUTS = {
     "evolve-rates-off-one": (
         lambda d: _evolve_with(d, rates={"crossover": 0.5, "mutation": 0.4, "reproduction": 0.2}),
         "operator rates must sum to 1"),
+    "run-execution-limit-0": (
+        lambda d: ["run", "--program", ORIGIN, "--function", "F1", "--execution-limit", "0"],
+        "execution limit must be >= 1"),
+    "evolve-scale-one-value": (lambda d: _evolve_with(d, transform_ranges={"scale": [1]}), "transform scale"),
+    "evolve-scale-zero": (
+        lambda d: _evolve_with(d, transform_ranges={"scale": [0, 0], "flip_prob": 3}), "transform scale"),
+    "evolve-flip-prob-3": (lambda d: _evolve_with(d, transform_ranges={"flip_prob": 3}), "transform flip_prob"),
+    "evolve-translate-frac-neg": (
+        lambda d: _evolve_with(d, transform_ranges={"translate_frac": -1}), "transform translate_frac"),
 }
 
 
@@ -961,6 +973,22 @@ def test_bad_input_fails_before_out_is_made(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["hybrid", "analyze-usage"])
+def test_replayed_unknown_mode_fails_before_out_is_made(tmp_path, capsys, command):
+    # argparse refuses an unknown --mode; a replayed manifest is checked by
+    # the command itself, before --out is made.
+    checkpoints = str(_write_checkpoints(tmp_path))
+    if command == "hybrid":
+        params = {"dir": checkpoints, "top": 1, "function": "F1", "D": 2}
+    else:
+        params = {"checkpoints": [checkpoints]}
+    payload = {"command": command, "params": {**params, "moves": 3, "mode": "bogus"}}
+    out = tmp_path / "out"
+    assert run_cli("replay", "--manifest", write_json(tmp_path / "manifest.json", payload), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: unknown {command} mode: 'bogus'\n"
     assert not out.exists()
 
 

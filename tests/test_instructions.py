@@ -23,10 +23,10 @@ from pushopt.push.ops import FLOAT_RAND, INTEGER_RAND, VECTOR_RAND, _WRAND_LIMIT
 from conftest import fresh_state, solo_context
 
 
-def apply(name, state, ctx=None):
+def apply(name, state):
     # Direct instruction calls enter the error state run_move would.
     with instruction_errstate():
-        return REGISTRY[name](state, ctx)
+        return REGISTRY[name](state)
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +492,14 @@ def test_vector_urand_is_unit_length():
 def test_vector_current_uses_modular_lookup():
     points = [np.full(2, float(i)) for i in range(5)]
     bests = [np.full(2, float(10 + i)) for i in range(5)]
-    ctx = SwarmContext(points, bests, self_index=3)
-    st = fresh_state(dim=2)
+    st = fresh_state(dim=2, ctx=SwarmContext(points, bests, self_index=3))
     st.integers.append(7)  # 7 mod 5 == 2
-    apply("vector.current", st, ctx)
+    apply("vector.current", st)
     assert vecs(st) == [[2.0, 2.0]]
     st.integers.append(-2)  # negative -> own point
-    apply("vector.best", st, ctx)
+    apply("vector.best", st)
     assert vecs(st)[-1] == [13.0, 13.0]
-    apply("vector.current", st, ctx)  # empty integer stack -> own point
+    apply("vector.current", st)  # empty integer stack -> own point
     assert vecs(st)[-1] == [3.0, 3.0]
     assert st.integers == []
 
@@ -508,7 +507,7 @@ def test_vector_current_uses_modular_lookup():
 def test_vector_lookup_without_context_is_noop():
     st = fresh_state(dim=2)
     st.integers.append(1)
-    assert apply("vector.current", st, None) is False
+    assert apply("vector.current", st) is False
     assert st.integers == [1]
 
 
@@ -691,10 +690,10 @@ def test_ndarray_dot_gives_the_bits_of_matmul(pair):
 # ---------------------------------------------------------------------------
 
 
-def run_program(text, st, ctx=None, limit=100):
+def run_program(text, st):
     # Direct run_move calls enter the error state run_with_source would.
     with instruction_errstate():
-        return run_move(st, parse_program(text), ctx, limit)
+        return run_move(st, parse_program(text))
 
 
 def test_exec_noop_and_equality():
@@ -738,28 +737,28 @@ def test_exec_iflt_compares_floats():
 
 
 def test_exec_do_times_repeats_body():
-    st = fresh_state()
-    run_program("(4 exec.do*times 1.0)", st, limit=1000)
+    st = fresh_state(step_limit=1000)
+    run_program("(4 exec.do*times 1.0)", st)
     assert st.floats == [1.0] * 4
     assert st.integers == []
 
 
 def test_exec_do_count_pushes_counter():
-    st = fresh_state()
-    run_program("(3 exec.do*count integer.dup)", st, limit=1000)
+    st = fresh_state(step_limit=1000)
+    run_program("(3 exec.do*count integer.dup)", st)
     # counter 0,1,2 each duplicated
     assert st.integers == [0, 0, 1, 1, 2, 2]
 
 
 def test_exec_do_range_runs_inclusive_range():
-    st = fresh_state()
-    run_program("(2 5 exec.do*range exec.noop)", st, limit=1000)
+    st = fresh_state(step_limit=1000)
+    run_program("(2 5 exec.do*range exec.noop)", st)
     assert st.integers == [2, 3, 4, 5]
-    st = fresh_state()
-    run_program("(5 2 exec.do*range exec.noop)", st, limit=1000)
+    st = fresh_state(step_limit=1000)
+    run_program("(5 2 exec.do*range exec.noop)", st)
     assert st.integers == [5, 4, 3, 2]
-    st = fresh_state()
-    run_program("(-2 -5 exec.do*range exec.noop)", st, limit=1000)
+    st = fresh_state(step_limit=1000)
+    run_program("(-2 -5 exec.do*range exec.noop)", st)
     assert st.integers == [-2, -3, -4, -5]
 
 
@@ -775,12 +774,12 @@ def test_exec_if_arity_shortfall_is_noop():
 def test_exec_do_times_nonpositive_is_noop():
     # the loop instruction refuses, leaving its operands: the count stays on
     # the integer stack and the body then executes once as a plain item
-    st = fresh_state()
-    run_program("(0 exec.do*times 1.0)", st, limit=1000)
+    st = fresh_state(step_limit=1000)
+    run_program("(0 exec.do*times 1.0)", st)
     assert st.floats == [1.0]
     assert st.integers == [0]
-    st = fresh_state()
-    run_program("(-3 exec.do*count 1.0)", st, limit=1000)
+    st = fresh_state(step_limit=1000)
+    run_program("(-3 exec.do*count 1.0)", st)
     assert st.floats == [1.0]
     assert st.integers == [-3]
 
@@ -813,10 +812,9 @@ def test_inputs_never_change():
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_noop_purity_on_empty_stacks(name):
-    st = fresh_state(dim=2, seed=1)
-    ctx = solo_context(dim=2)
+    st = fresh_state(dim=2, seed=1, ctx=solo_context(dim=2))
     before = st.stack_snapshot()
-    applied = apply(name, st, ctx)
+    applied = apply(name, st)
     if not applied:
         assert st.stack_snapshot() == before
     # instructions needing nothing may execute on empty stacks; all that is

@@ -47,8 +47,8 @@ def test_stacks_persist_across_moves():
 def test_exec_stack_reloaded_each_move():
     # A move that hits the step limit leaves exec items behind; the next
     # move must not resume them.
-    st = fresh_state()
-    run_move(st, parse_program("(1 2 3 4 5)"), limit=2)
+    st = fresh_state(step_limit=2)
+    run_move(st, parse_program("(1 2 3 4 5)"))
     assert st.integers == [1, 2]
     run_move(st, parse_program("(9)"))
     assert st.integers == [1, 2, 9]
@@ -61,18 +61,18 @@ def test_loop_halts_exactly_at_limit():
     # run that counts usage and so re-enters through the exec stack).
     program = parse_program("(500 exec.do*times float.rand)")
     for usage in (None, {}):
-        st = fresh_state(seed=1)
-        run_move(st, program, limit=100, usage=usage)
+        st = fresh_state(seed=1, step_limit=100, usage=usage)
+        run_move(st, program)
         assert st.steps_used == 100
         assert len(st.floats) < 500
 
-    unbounded = fresh_state(seed=1)
-    run_move(unbounded, program, limit=10_000_000)
+    unbounded = fresh_state(seed=1, step_limit=10_000_000)
+    run_move(unbounded, program)
     assert len(unbounded.floats) == 500
     assert unbounded.steps_used > 100
-    counted = fresh_state(seed=1)
     usage = {}
-    run_move(counted, program, limit=10_000_000, usage=usage)
+    counted = fresh_state(seed=1, step_limit=10_000_000, usage=usage)
+    run_move(counted, program)
     assert usage["float.rand"] == 500
     assert counted.floats == unbounded.floats
     assert counted.steps_used == unbounded.steps_used
@@ -80,32 +80,33 @@ def test_loop_halts_exactly_at_limit():
 
 def test_limit_counts_nested_body_runs():
     # vector.apply runs its body once per component within the same budget
-    st = fresh_state(dim=3)
+    st = fresh_state(dim=3, step_limit=100)
     st.vectors.append(np.array([1.0, 2.0, 3.0]))
-    run_move(st, parse_program("(vector.apply float.neg)"), limit=100)
+    run_move(st, parse_program("(vector.apply float.neg)"))
     # 1 step for apply + 3 body runs
     assert st.steps_used == 4
     assert st.vectors[-1].tolist() == [-1.0, -2.0, -3.0]
 
 
 def test_limit_cuts_apply_midway():
-    st = fresh_state(dim=3)
+    st = fresh_state(dim=3, step_limit=2)
     st.vectors.append(np.array([1.0, 2.0, 3.0]))
-    run_move(st, parse_program("(vector.apply float.neg)"), limit=2)
+    run_move(st, parse_program("(vector.apply float.neg)"))
     assert st.steps_used == 2
     # only the first component's body ran; the rest stay unchanged
     assert st.vectors[-1].tolist() == [-1.0, 2.0, 3.0]
 
 
 def test_invalid_limit_rejected():
+    # The limit is checked when the state is built, not on every move.
     with pytest.raises(ValueError):
-        run_move(fresh_state(), Program(()), limit=0)
+        fresh_state(step_limit=0)
 
 
 def test_usage_tally_counts_instructions_not_literals():
-    st = fresh_state()
     usage = {}
-    run_move(st, parse_program("(1 2 integer.+ integer.dup)"), usage=usage)
+    st = fresh_state(usage=usage)
+    run_move(st, parse_program("(1 2 integer.+ integer.dup)"))
     assert usage == {"integer.+": 1, "integer.dup": 1}
 
 

@@ -29,7 +29,7 @@ LOOPS = ("exec.do*range", "exec.do*count", "exec.do*times")
 
 # Re-entry through the exec stack: the loop instructions as they were
 # before iterations ran in place.
-def _reference_do_range(state, ctx):
+def _reference_do_range(state):
     if len(state.integers) < 2 or not state.exec:
         return False
     dest = state.integers.pop()
@@ -45,7 +45,7 @@ def _reference_do_range(state, ctx):
     return True
 
 
-def _reference_do_count(state, ctx):
+def _reference_do_count(state):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
         return False
@@ -55,7 +55,7 @@ def _reference_do_count(state, ctx):
     return True
 
 
-def _reference_do_times(state, ctx):
+def _reference_do_times(state):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
         return False
@@ -67,12 +67,11 @@ def _reference_do_times(state, ctx):
 
 
 REFERENCE = dict(zip(LOOPS, (_reference_do_range, _reference_do_count, _reference_do_times)))
-for _name, _fn in REFERENCE.items():
-    _fn.push_name = _name
+for _fn in REFERENCE.values():
     _fn.touches_exec = True
 
 
-def _raises(state, ctx):
+def _raises(state):
     # A plain instruction that changes a stack, then raises on every fourth
     # index a loop pushes.
     ints = state.integers
@@ -82,7 +81,6 @@ def _raises(state, ctx):
     return True
 
 
-_raises.push_name = "test.raise"
 _raises.touches_exec = False
 
 
@@ -144,8 +142,8 @@ def _run(runner, state, *args):
     return None
 
 
-def _new_state(dim, seed, points):
-    state = InterpreterState(dim=dim, rng=np.random.default_rng(seed), inputs=(-5.0, 5.0))
+def _new_state(dim, seed, points, **settings):
+    state = InterpreterState(dim=dim, rng=np.random.default_rng(seed), inputs=(-5.0, 5.0), **settings)
     state.vectors.append(points[1])
     state.floats.append(2.5)
     state.booleans.append(True)
@@ -158,16 +156,16 @@ def assert_same_moves(items, dim, limit, seed, moves=6):
     rng = np.random.default_rng(seed)
     points = [rng.uniform(-5.0, 5.0, dim) for _ in range(3)]
     ctx = SwarmContext(points, points[::-1], 1)
-    states = [_new_state(dim, seed, points) for _ in RUNS]
+    states = [_new_state(dim, seed, points, step_limit=limit, ctx=ctx) for _ in RUNS]
     # Separate programs, so that none reuses a plan resolved for another.
     programs = [Program(tuple(items)) for _ in RUNS]
     for move in range(1, moves + 1):
         outcomes, counts = [], []
         for state, program, (counting, swap) in zip(states, programs, RUNS):
             state.integers.extend([move, 3, 0])
-            usage = {} if counting else None
+            state.usage = usage = {} if counting else None
             with _loops(swap):
-                error = _run(run_move, state, program, ctx, limit, usage)
+                error = _run(run_move, state, program)
             outcomes.append(_outcome(state, error))
             counts.append(usage)
         _assert_same(outcomes, counts, f"move {move}")
@@ -269,7 +267,7 @@ def _assert_same_stack_run(items, dim, limit):
         state.step_limit = limit
         state.usage = usage = {"float.abs": 1} if counting else None
         with _loops(swap):
-            error = _run(_run_exec, state, None)
+            error = _run(_run_exec, state)
         outcomes.append(_outcome(state, error))
         counts.append(usage)
     _assert_same(outcomes, counts, (limit, dim))
@@ -280,15 +278,15 @@ def test_iterations_in_place_are_charged_as_re_entries():
     # its two literals and the last body: run in place without counting,
     # through the exec stack with it.
     for usage in (None, {}):
-        state = InterpreterState(dim=1, rng=np.random.default_rng(0))
-        run_move(state, Program((1, 5, "exec.do*range", "float.abs")), limit=100, usage=usage)
+        state = InterpreterState(dim=1, rng=np.random.default_rng(0), step_limit=100, usage=usage)
+        run_move(state, Program((1, 5, "exec.do*range", "float.abs")))
         assert state.steps_used == 3 + 4 * 5 + 1
         assert state.integers == [1, 2, 3, 4, 5]
     assert usage == {"exec.do*range": 5, "float.abs": 5}
     # A limit one step short of the third iteration leaves it to the exec
     # stack, where the limit cuts it before the re-entry.
-    state = InterpreterState(dim=1, rng=np.random.default_rng(0))
-    run_move(state, Program((1, 5, "exec.do*range", "float.abs")), limit=3 + 3 * 5 - 1)
+    state = InterpreterState(dim=1, rng=np.random.default_rng(0), step_limit=3 + 3 * 5 - 1)
+    run_move(state, Program((1, 5, "exec.do*range", "float.abs")))
     assert state.steps_used == 17
     assert state.integers == [1, 2, 3, 4, 5]
     assert state.exec == ["float.abs", "exec.do*range"]

@@ -43,7 +43,6 @@ FUNCTION_IDS = ("F1", "F9", "F12", "F13", "F14")
 def _reference_step_swarm(swarm, problem, move):
     # The step before value reuse and the per-run context: a fresh context
     # per move, and the objective called for every in-bounds proposal.
-    config = swarm.config
     lower, upper = problem.bounds
     ctx = SwarmContext([m.point for m in swarm.members], [m.best for m in swarm.members])
     for member in swarm.members:
@@ -54,7 +53,8 @@ def _reference_step_swarm(swarm, problem, move):
         state.integers.append(member.index)
         state.integers.append(swarm.pbestindex)
         previous = member.value
-        run_move(state, program, ctx, config.execution_limit, usage=swarm.usage)
+        state.ctx = ctx
+        run_move(state, program)
         if state.vectors:
             proposal = state.vectors[-1]
             member.point = proposal

@@ -31,7 +31,7 @@ from pushopt.push import (
 )
 from pushopt.push.interpreter import _run_exec
 
-from conftest import EVOLVED_OPTIMISERS
+from conftest import EVOLVED_OPTIMISERS, solo_context
 
 REFERENCE_IDS = sorted(EVOLVED_OPTIMISERS)
 
@@ -42,14 +42,12 @@ def _errstate():
         yield
 
 
-def loop_move(state, program, ctx=None, limit=100, usage=None):
+def loop_move(state, program):
     """``run_move`` as it was before plans: every item through the loop."""
     state.exec.clear()
     state.exec.extend(reversed(program.items))
     state.steps_used = 0
-    state.step_limit = limit
-    state.usage = usage
-    _run_exec(state, ctx)
+    _run_exec(state)
     return state
 
 
@@ -75,9 +73,9 @@ def _snapshot(state):
     )
 
 
-def _attempt(runner, state, program, ctx, limit, usage):
+def _attempt(runner, state, program):
     try:
-        runner(state, program, ctx, limit, usage)
+        runner(state, program)
     except Exception as exc:  # compared between the paths
         return type(exc), str(exc)
     return None
@@ -93,7 +91,9 @@ def assert_same_moves(program, dim, limit, seed, moves=8):
     ctx = SwarmContext(points, points[::-1], 1)
     states = []
     for _ in range(3):
-        state = InterpreterState(dim=dim, rng=np.random.default_rng(seed), inputs=(-5.0, 5.0))
+        state = InterpreterState(
+            dim=dim, rng=np.random.default_rng(seed), inputs=(-5.0, 5.0), step_limit=limit, ctx=ctx
+        )
         state.vectors.append(points[1])
         state.floats.append(2.5)
         state.booleans.append(True)
@@ -102,10 +102,10 @@ def assert_same_moves(program, dim, limit, seed, moves=8):
     for move in range(1, moves + 1):
         for state in states:
             state.integers.extend([move, 1, 0])
-        usage, want_usage = {}, {}
-        want = _attempt(loop_move, looped, program, ctx, limit, want_usage)
-        assert _attempt(run_move, planned, program, ctx, limit, None) == want, f"move {move}"
-        assert _attempt(run_move, counted, program, ctx, limit, usage) == want, f"move {move}"
+        counted.usage, looped.usage = usage, want_usage = {}, {}
+        want = _attempt(loop_move, looped, program)
+        assert _attempt(run_move, planned, program) == want, f"move {move}"
+        assert _attempt(run_move, counted, program) == want, f"move {move}"
         assert usage == want_usage, f"move {move}"
         assert _snapshot(planned) == _snapshot(looped), f"move {move}"
         assert _snapshot(counted) == _snapshot(looped), f"move {move}"
@@ -204,7 +204,9 @@ class _Watched:
 
 
 def _full_state():
-    state = InterpreterState(dim=3, rng=np.random.default_rng(0), inputs=(-1.0, 1.0))
+    state = InterpreterState(
+        dim=3, rng=np.random.default_rng(0), inputs=(-1.0, 1.0), ctx=solo_context(3)
+    )
     state.booleans.extend([True, False, True])
     state.integers.extend([2, 1, 3])
     state.floats.extend([0.5, 1.5, 2.5])
@@ -217,12 +219,10 @@ def test_touches_exec_marks_exactly_the_instructions_that_touch_it():
     # Every instruction runs once on stacks deep enough for it to execute;
     # the flagged set is the set that reads or writes the exec stack or the
     # step counters, and it is the one the plan stops at.
-    point = np.zeros(3)
-    ctx = SwarmContext([point], [point], 0)
     touching = set()
     for name, fn in REGISTRY.items():
         watched = _Watched(_full_state())
-        fn(watched, ctx)
+        fn(watched)
         if watched.touched:
             touching.add(name)
     flagged = {name for name, fn in REGISTRY.items() if fn.touches_exec}
@@ -260,9 +260,9 @@ def test_bad_item_raises_after_earlier_items(items, error):
     else:
         program = Program(items)
     for usage in (None, {}):
-        state = InterpreterState(dim=2, rng=np.random.default_rng(0))
+        state = InterpreterState(dim=2, rng=np.random.default_rng(0), usage=usage)
         with pytest.raises(error):
-            run_move(state, program, usage=usage)
+            run_move(state, program)
         assert state.steps_used == 3
         assert state.exec == [3]
         assert state.integers == [1, 1]
@@ -271,7 +271,7 @@ def test_bad_item_raises_after_earlier_items(items, error):
         assert_same_moves(program, 2, limit, seed=0, moves=2)
 
 
-def _raises(state, ctx):
+def _raises(state):
     state.floats.append(1.5)
     raise OverflowError("test.raise")
 
@@ -287,9 +287,9 @@ def test_raise_inside_the_plan_leaves_what_the_loop_leaves(monkeypatch):
     program = Program((1, "integer.dup", 2.5, "test.raise", 3, "integer.+"))
     assert len(program.plan) == len(program)
     for usage in (None, {}):
-        state = InterpreterState(dim=2, rng=np.random.default_rng(0))
+        state = InterpreterState(dim=2, rng=np.random.default_rng(0), usage=usage)
         with pytest.raises(OverflowError):
-            run_move(state, program, usage=usage)
+            run_move(state, program)
         assert state.steps_used == 4
         assert state.exec == ["integer.+", 3]
         assert state.floats == [2.5, 1.5]
@@ -372,12 +372,12 @@ def test_dynamic_usage_counts_match_the_loop_only_interpreter(limit):
     assert (len(rows), sum(row.count for row in rows), digest) == GENOME_USAGE[limit]
 
 
-def loop_single_item(state, ctx, item):
+def loop_single_item(state, item):
     """One item through a nested loop on a private exec stack."""
     saved = state.exec
     state.exec = [item]
     try:
-        _run_exec(state, ctx)
+        _run_exec(state)
     finally:
         state.exec = saved
 
@@ -387,7 +387,7 @@ def _reference_map(arity):
     before they ran their own body: each component's run of the body goes
     through ``loop_single_item``."""
 
-    def op(state, ctx):
+    def op(state):
         vs = state.vectors
         if len(vs) < arity or not state.exec:
             return False
@@ -400,7 +400,7 @@ def _reference_map(arity):
             c = components[0]
             if state.steps_used < state.step_limit:
                 floats.extend(components)
-                loop_single_item(state, ctx, body)
+                loop_single_item(state, body)
                 if floats:
                     c = floats.pop()
             out.append(c)
@@ -414,7 +414,7 @@ def _reference_map(arity):
 REFERENCE_MAPS = {"vector.apply": _reference_map(1), "vector.zip": _reference_map(2)}
 
 
-def _pushes_onto_exec(state, ctx):
+def _pushes_onto_exec(state):
     state.exec.append("float.neg")
     state.exec.append((2.0, "exec.stackdepth"))
     return True
@@ -434,7 +434,7 @@ MAP_LIMITS = ((0, 100), (0, 1), (0, 2), (0, 7), (4, 5), (5, 5), (6, 5))
 
 
 def _bare_state():
-    state = InterpreterState(dim=3, rng=np.random.default_rng(0))
+    state = InterpreterState(dim=3, rng=np.random.default_rng(0), ctx=solo_context(3))
     state.vectors.extend([np.array([0.5, -1.5, 2.0]), np.array([3.0, 0.0, -0.25])])
     return state
 
@@ -456,8 +456,6 @@ def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
     monkeypatch.setitem(REGISTRY, "test.partial", negate)
     monkeypatch.setitem(REGISTRY, "test.pushes", _pushes_onto_exec)
     monkeypatch.setitem(REGISTRY, "test.raise", _raises)
-    point = np.zeros(3)
-    ctx = SwarmContext([point], [point], 0)
     for name in REFERENCE_MAPS:
         for full in (True, False):
             for steps_used, limit in MAP_LIMITS:
@@ -474,7 +472,7 @@ def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
                             for map_name, fn in REFERENCE_MAPS.items():
                                 m.setitem(REGISTRY, map_name, fn)
                         try:
-                            result = REGISTRY[name](state, ctx)
+                            result = REGISTRY[name](state)
                             error = None
                         except Exception as exc:  # compared between the runs
                             result, error = None, (type(exc), str(exc))

@@ -286,6 +286,34 @@ def test_custom_transform_ranges():
     assert t.is_identity()
 
 
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        ({"scale": (1.0,)}, "scale"),
+        ({"scale": (1.0, 2.0, 3.0)}, "scale"),
+        ({"scale": (0.0, 0.0)}, "scale"),
+        ({"scale": (-1.0, 2.0)}, "scale"),
+        ({"scale": (2.0, 1.0)}, "scale"),
+        ({"scale": (0.5, math.inf)}, "scale"),
+        ({"scale": (math.nan, 1.0)}, "scale"),
+        ({"flip_prob": 3.0}, "flip_prob"),
+        ({"flip_prob": -0.1}, "flip_prob"),
+        ({"flip_prob": math.nan}, "flip_prob"),
+        ({"translate_frac": -0.5}, "translate_frac"),
+        ({"translate_frac": math.inf}, "translate_frac"),
+        ({"translate_frac": math.nan}, "translate_frac"),
+    ],
+)
+def test_transform_ranges_refuse_bad_values(ranges, message):
+    with pytest.raises(ValueError, match=message):
+        TransformRanges(**ranges)
+
+
+def test_transform_ranges_take_their_edge_values():
+    for ranges in ({"scale": (1.0, 1.0)}, {"flip_prob": 0.0}, {"flip_prob": 1.0}, {"translate_frac": 0.0}):
+        TransformRanges(**ranges)
+
+
 # ---------------------------------------------------------------------------
 # Families and descriptors
 # ---------------------------------------------------------------------------
