@@ -34,7 +34,6 @@ from .harness import (
     RunConfig,
     RunResult,
     fitness,
-    fitness_report,
     init_swarm,
     run_optimisation,
     step_swarm,

@@ -30,6 +30,7 @@ from .harness import (
 from .problems import (
     DEFAULT_TRANSFORM_RANGES,
     ProblemFamily,
+    Transform,
     TransformRanges,
     make_function,
     problem_family_from_descriptor,
@@ -173,15 +174,23 @@ def _problem_family(params: dict) -> ProblemFamily:
     _require(params, ["function", "D"], "problem selection")
     function = make_function(params["function"], int(params["D"]), int(params["problem_seed"]))
     ranges = params.get("transform_ranges")
-    return ProblemFamily(
-        function,
-        randomize=(params["transforms"] == "random"),
-        ranges=DEFAULT_TRANSFORM_RANGES if ranges is None else TransformRanges(
-            translate_frac=float(ranges["translate_frac"]),
-            scale=tuple(map(float, ranges["scale"])),
-            flip_prob=float(ranges["flip_prob"]),
-        ),
+    # Ranges are built and checked even when the transforms are identity.
+    ranges = DEFAULT_TRANSFORM_RANGES if ranges is None else TransformRanges(
+        translate_frac=float(ranges["translate_frac"]),
+        scale=tuple(map(float, ranges["scale"])),
+        flip_prob=float(ranges["flip_prob"]),
     )
+    return ProblemFamily(
+        function, ranges if params["transforms"] == "random" else Transform.identity(function.dim)
+    )
+
+
+def _count(params: dict, key: str) -> int:
+    """``params[key]`` as an int, checked as the library checks its counts."""
+    value = int(params[key])
+    if value < 1:
+        raise CliError(f"{key} must be >= 1")
+    return value
 
 
 def _mode(params: dict, command: str) -> str:
@@ -203,6 +212,8 @@ def _run_config(params: dict, record: bool) -> RunConfig:
 def _is_inline(value: str) -> bool:
     # Inline text is told apart before the filesystem is asked: text longer
     # than a file name would make the probe itself fail.
+    if not isinstance(value, str):
+        raise TypeError(f"a program is a path or program text, not {type(value).__name__}")
     return value.lstrip().startswith("(")
 
 
@@ -222,20 +233,19 @@ def _repeat_and_write(runner, params: dict, out_dir: Path, result_files=()):
     record = params["trajectory"] is not None
     family = _problem_family(params)
     config = _run_config(params, record)
+    repeats = _count(params, "repeats")
     if record:
         target = Path(params["trajectory"]).resolve()
         for name in ("manifest.json", "results.csv", *result_files):
             if target == (out_dir / name).resolve():
                 raise CliError(f"trajectory {params['trajectory']} would overwrite the result file {name}")
     yield
-    report = repeated_runs(runner, family, int(params["repeats"]), config)
+    report = repeated_runs(runner, family, repeats, config)
     with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["repeat", "pbest", "evaluations", "moves"])
         for r, result in enumerate(report.results):
-            writer.writerow(
-                [r, format_value(result.pbest), result.evaluations_used, result.moves_executed]
-            )
+            writer.writerow([r, format_value(result.pbest), result.evaluations_used, config.moves])
         writer.writerow(["mean", format_value(report.mean), "", ""])
     if record:
         path = Path(params["trajectory"])
@@ -266,8 +276,8 @@ def cmd_evolve(params: dict, out_dir: Path):
         repeats=int(params["repeats"]),
         run=_run_config(params, record=False),
         instruction_set=instruction_set,
-        seed=int(params["seed"]),
     )
+    jobs = _count(params, "jobs")
     yield
     checkpoint_dir = out_dir / "checkpoints"
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -281,7 +291,7 @@ def cmd_evolve(params: dict, out_dir: Path):
                     + "\n"
                 )
 
-    result = evolution.evolve(config, family, on_generation=on_generation, jobs=int(params["jobs"]))
+    result = evolution.evolve(config, family, on_generation=on_generation, jobs=jobs)
     save_program(result.best_program, out_dir / "best_program.txt")
     with open(out_dir / "generations.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -363,7 +373,7 @@ def cmd_analyze_usage(params: dict, out_dir: Path):
         label: [entry.program for f in files for entry in hybrid.read_checkpoint(f)]
         for label, files in _collect_checkpoints(params["checkpoints"]).items()
     }
-    top = int(params["top"])
+    top = _count(params, "top")
     dynamic = _mode(params, "analyze-usage") == "dynamic"
     if dynamic:
         family = _problem_family({**params, "transforms": "random"})
@@ -392,10 +402,9 @@ def cmd_analyze_simplify(params: dict, out_dir: Path):
     program = _load_program_arg(params["program"])
     family = _problem_family(params)
     config = _run_config(params, record=False)
+    repeats, tolerance = _count(params, "repeats"), float(params["tolerance"])
     yield
-    simplified, before, after = analysis.simplify(
-        program, family, config, repeats=int(params["repeats"]), tolerance=float(params["tolerance"])
-    )
+    simplified, before, after = analysis.simplify(program, family, config, repeats=repeats, tolerance=tolerance)
     save_program(simplified, out_dir / "simplified.txt")
     with open(out_dir / "simplify.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -420,10 +429,9 @@ def cmd_analyze_reevaluate(params: dict, out_dir: Path):
         for fid in params["functions"]
     ]
     config = _run_config(params, record=False)
+    runs, jobs = _count(params, "runs"), _count(params, "jobs")
     yield
-    report = analysis.reevaluate(
-        list(optimisers.items()), functions, config, runs=int(params["runs"]), jobs=int(params["jobs"])
-    )
+    report = analysis.reevaluate(list(optimisers.items()), functions, config, runs=runs, jobs=jobs)
     analysis.write_error_table_csv(out_dir / "errors.csv", report)
     analysis.write_per_run_csv(out_dir / "per_run.csv", report)
 
@@ -449,10 +457,13 @@ def execute(command: str, given: dict, out_dir, replay: bool = False) -> None:
     params = resolve_params(defaults, given, command)
     out_dir = Path(out_dir)
     run_params = params
-    if replay and params.get("trajectory") is not None:
-        run_params = {**params, "trajectory": str(out_dir / Path(params["trajectory"]).name)}
-    steps = fn(run_params, out_dir)
-    next(steps)
+    try:
+        if replay and params.get("trajectory") is not None:
+            run_params = {**params, "trajectory": str(out_dir / Path(params["trajectory"]).name)}
+        steps = fn(run_params, out_dir)
+        next(steps)
+    except TypeError as exc:  # a parameter of the wrong JSON type
+        raise CliError(f"{command}: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, command, params)
     next(steps, None)

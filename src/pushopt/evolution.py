@@ -36,7 +36,6 @@ class EvolutionConfig:
     repeats: int = 10
     run: RunConfig = field(default_factory=RunConfig)
     instruction_set: InstructionSet = DEFAULT_INSTRUCTION_SET
-    seed: int = 0
 
     def __post_init__(self):
         total = self.crossover_rate + self.mutation_rate + self.reproduction_rate
@@ -50,6 +49,8 @@ class EvolutionConfig:
             raise ValueError("generations must be >= 0")
         if self.size_limit < 1:
             raise ValueError("size limit must be >= 1")
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,13 @@ def evolve(
     fitness evaluations run in one pool of worker processes for the whole
     call; each worker receives the family and the run config once. Results
     are independent of the worker count and the start method because every
-    individual has its own pre-split random stream.
+    individual has its own pre-split random stream, split from
+    ``config.run.seed``.
     """
     iset = config.instruction_set
+    seed = config.run.seed
     population = [
-        random_program(iset, config.size_limit, stream(config.seed, "initpop", i))
+        random_program(iset, config.size_limit, stream(seed, "initpop", i))
         for i in range(config.population_size)
     ]
     best_program = None
@@ -175,7 +178,7 @@ def evolve(
     with worker_pool(_fitness, (family, config.repeats, config.run), jobs) as evaluate:
         for generation in range(config.generations + 1):
             fitnesses = evaluate(
-                [(p, derive_seed(config.seed, "fit", generation, i)) for i, p in enumerate(population)]
+                [(p, derive_seed(seed, "fit", generation, i)) for i, p in enumerate(population)]
             )
             gen_best = min(range(len(population)), key=lambda i: (fitnesses[i], i))
             if fitnesses[gen_best] < best_fitness:
@@ -194,7 +197,7 @@ def evolve(
                 on_generation(generation, population, fitnesses)
             if generation == config.generations:
                 break
-            var_rng = stream(config.seed, "vary", generation)
+            var_rng = stream(seed, "vary", generation)
 
             def select():
                 return tournament_select(population, fitnesses, config.tournament_size, var_rng)

@@ -91,13 +91,11 @@ class TrajectoryRow:
 
 class FixedSource:
     """Program source for a homogeneous swarm: every member runs the same
-    program every move."""
+    program every move. A source is anything with ``select(member, move)``,
+    which the harness calls once per member-move, in member order."""
 
     def __init__(self, program: Program):
         self.program = program
-
-    def on_init(self, swarm_size: int) -> None:
-        pass
 
     def select(self, member: int, move: int) -> Program:
         return self.program
@@ -111,7 +109,6 @@ class Swarm:
     pbest_point: np.ndarray
     evaluations_used: int
     source: object
-    config: RunConfig
     context: SwarmContext
     trajectory: list = None
 
@@ -121,7 +118,6 @@ class RunResult:
     pbest: float
     pbest_point: np.ndarray
     evaluations_used: int
-    moves_executed: int
     trajectory: tuple = None
 
 
@@ -149,12 +145,13 @@ def _evaluate(problem: Problem, point: np.ndarray) -> float:
 def init_swarm(source, problem: Problem, config: RunConfig) -> Swarm:
     """Initialise and evaluate the swarm (one evaluation per member).
 
-    Each member starts at a random point within bounds with cleared stacks;
-    its vector stack is seeded with the point, the float stack with its
-    error, the boolean stack with true, and the input stack holds the search
-    bounds. An objective value that is not finite, or a numpy floating-point
-    error raised by the objective, raises ``ValueError``, here and in
-    ``step_swarm``.
+    ``source`` is a program, which every member runs every move, or a
+    program source (see ``FixedSource``). Each member starts at a random
+    point within bounds with cleared stacks; its vector stack is seeded with
+    the point, the float stack with its error, the boolean stack with true,
+    and the input stack holds the search bounds. An objective value that is
+    not finite, or a numpy floating-point error raised by the objective,
+    raises ``ValueError``, here and in ``step_swarm``.
     """
     if isinstance(source, Program):
         source = FixedSource(source)
@@ -187,7 +184,6 @@ def init_swarm(source, problem: Problem, config: RunConfig) -> Swarm:
     context = SwarmContext([m.point for m in members], [m.best for m in members])
     for member in members:
         member.state.ctx = context
-    source.on_init(config.swarm_size)
     return Swarm(
         members=members,
         pbest=pbest,
@@ -195,7 +191,6 @@ def init_swarm(source, problem: Problem, config: RunConfig) -> Swarm:
         pbest_point=pbest_point,
         evaluations_used=config.swarm_size,
         source=source,
-        config=config,
         context=context,
         trajectory=trajectory,
     )
@@ -303,7 +298,6 @@ def run_with_source(source, problem: Problem, config: RunConfig) -> RunResult:
         pbest=swarm.pbest,
         pbest_point=np.array(swarm.pbest_point),
         evaluations_used=swarm.evaluations_used,
-        moves_executed=config.moves,
         trajectory=tuple(swarm.trajectory) if swarm.trajectory is not None else None,
     )
 
@@ -330,17 +324,14 @@ def repeated_runs(runner, family: ProblemFamily, repeats: int, config: RunConfig
     return FitnessReport(per_repeat=per_repeat, mean=sum(per_repeat) / repeats, results=results)
 
 
-def fitness_report(program: Program, family: ProblemFamily, repeats: int, config: RunConfig) -> FitnessReport:
-    def runner(problem, run_config):
-        return run_optimisation(program, problem, run_config)
-
-    return repeated_runs(runner, family, repeats, config)
-
-
 def fitness(program: Program, family: ProblemFamily, repeats: int, config: RunConfig) -> float:
     """Mean best error over ``repeats`` optimisation runs, each with random
     initial locations and a fresh instance drawn from the family."""
-    return fitness_report(program, family, repeats, config).mean
+
+    def runner(problem, run_config):
+        return run_optimisation(program, problem, run_config)
+
+    return repeated_runs(runner, family, repeats, config).mean
 
 
 # ---------------------------------------------------------------------------

@@ -45,35 +45,29 @@ class PoolSource:
     Selection draws come from their own random stream so that pool size
     never perturbs the point-sampling randomness of the underlying run; a
     pool of one therefore reproduces the homogeneous harness exactly. The
-    ``per_member`` mode instead assigns one persistent program per member at
-    initialisation.
+    ``per_member`` mode instead assigns one persistent program to each of
+    ``swarm_size`` members, drawn when the source is built.
 
     Draws are made a block at a time: one ``rng.integers(len(pool),
-    size=swarm_size)`` call per move, with the ``swarm_size`` given to
-    ``on_init`` (1 before it is called). numpy fills a block with the same
+    size=swarm_size)`` call per move. numpy fills a block with the same
     values as that many scalar draws and leaves the stream where they
     would, so the n-th ``select`` returns the program of the n-th scalar
-    draw, whatever the swarm size.
+    draw.
     """
 
-    def __init__(self, pool: Pool, rng, mode: str = MODES[0]):
+    def __init__(self, pool: Pool, rng, swarm_size: int, mode: str = MODES[0]):
         if mode not in MODES:
             raise ValueError(f"unknown hybrid mode: {mode}")
         self.pool = pool
         self.rng = rng
+        self.swarm_size = swarm_size
         self.mode = mode
-        self.assignments = None
-        self._block_size = 1
+        self.assignments = self._draw_block() if mode == "per_member" else None
         self._pending = iter(())
-
-    def on_init(self, swarm_size: int) -> None:
-        self._block_size = swarm_size
-        if self.mode == "per_member":
-            self.assignments = self._draw_block()
 
     def _draw_block(self) -> list:
         entries = self.pool.entries
-        picks = self.rng.integers(len(entries), size=self._block_size)
+        picks = self.rng.integers(len(entries), size=self.swarm_size)
         return [entries[i].program for i in picks.tolist()]
 
     def select(self, member: int, move: int) -> Program:
@@ -89,7 +83,7 @@ class PoolSource:
 def run_hybrid(pool: Pool, problem: Problem, config: RunConfig, mode: str = MODES[0]) -> RunResult:
     """Run a heterogeneous swarm over ``pool``; behaves exactly like the
     homogeneous harness except for which program each member executes."""
-    source = PoolSource(pool, stream(config.seed, "select"), mode)
+    source = PoolSource(pool, stream(config.seed, "select"), config.swarm_size, mode)
     return run_with_source(source, problem, config)
 
 

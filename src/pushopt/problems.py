@@ -319,24 +319,25 @@ class Problem:
 
 @dataclass(frozen=True)
 class ProblemFamily:
-    """A source of problem instances for repeated optimisation runs."""
+    """A source of problem instances for repeated optimisation runs.
+
+    With ``TransformRanges`` each instance draws its own transform from
+    them; a ``Transform`` (``Transform.identity(dim)`` for the plain
+    function) is used as is by every instance.
+    """
 
     function: BenchmarkFunction
-    randomize: bool = True
-    ranges: TransformRanges = DEFAULT_TRANSFORM_RANGES
-    fixed_transform: Transform = None
+    transforms: TransformRanges | Transform = DEFAULT_TRANSFORM_RANGES
 
     def instance(self, rng: np.random.Generator) -> Problem:
-        if self.fixed_transform is not None:
-            return Problem(self.function, self.fixed_transform)
-        if not self.randomize:
-            return Problem.plain(self.function)
+        if isinstance(self.transforms, Transform):
+            return Problem(self.function, self.transforms)
         transform = sample_transform(
             self.function.bounds,
             self.function.dim,
             rng,
             optimum=self.function.shift,
-            ranges=self.ranges,
+            ranges=self.transforms,
         )
         return Problem(self.function, transform)
 
@@ -367,11 +368,11 @@ def problem_family_from_descriptor(raw: dict) -> ProblemFamily:
     )
     transform = raw.get("transform", "random")
     if transform == "random":
-        return ProblemFamily(function, randomize=True)
+        return ProblemFamily(function)
     if transform == "identity":
-        return ProblemFamily(function, randomize=False)
+        return ProblemFamily(function, Transform.identity(function.dim))
     if isinstance(transform, dict):
-        return ProblemFamily(function, fixed_transform=_explicit_transform(transform, function.dim))
+        return ProblemFamily(function, _explicit_transform(transform, function.dim))
     raise ValueError(f"bad transform value: {transform!r}")
 
 

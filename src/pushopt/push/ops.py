@@ -224,33 +224,18 @@ def _vector_rand(state):
 # ---------------------------------------------------------------------------
 
 
-def _boolean_binary(name, fn):
+def _compare(name, stack, fn):
     @instruction(name)
     def op(state):
-        bs = state.booleans
-        if len(bs) < 2:
+        values = getattr(state, stack)
+        if len(values) < 2:
             return False
-        b = bs.pop()
-        a = bs.pop()
-        bs.append(fn(a, b))
+        b = values.pop()
+        a = values.pop()
+        state.booleans.append(fn(a, b))
         return True
 
     return op
-
-
-_boolean_binary("boolean.=", operator.eq)
-_boolean_binary("boolean.and", operator.and_)
-_boolean_binary("boolean.or", operator.or_)
-_boolean_binary("boolean.xor", operator.ne)
-
-
-@instruction("boolean.not")
-def _boolean_not(state):
-    bs = state.booleans
-    if not bs:
-        return False
-    bs.append(not bs.pop())
-    return True
 
 
 def _convert(name, source, target, fn):
@@ -265,6 +250,11 @@ def _convert(name, source, target, fn):
     return op
 
 
+_compare("boolean.=", "booleans", operator.eq)
+_compare("boolean.and", "booleans", operator.and_)
+_compare("boolean.or", "booleans", operator.or_)
+_compare("boolean.xor", "booleans", operator.ne)
+_convert("boolean.not", "booleans", "booleans", operator.not_)
 _convert("boolean.fromfloat", "floats", "booleans", bool)
 _convert("boolean.frominteger", "integers", "booleans", bool)
 
@@ -309,20 +299,6 @@ def _float_unary(name, fn):
         if not math.isfinite(r):
             return False
         fs[-1] = float(r)
-        return True
-
-    return op
-
-
-def _compare(name, stack, fn):
-    @instruction(name)
-    def op(state):
-        values = getattr(state, stack)
-        if len(values) < 2:
-            return False
-        b = values.pop()
-        a = values.pop()
-        state.booleans.append(fn(a, b))
         return True
 
     return op
@@ -409,22 +385,8 @@ _int_binary("integer.min", min)
 _compare("integer.<", "integers", operator.lt)
 _compare("integer.>", "integers", operator.gt)
 _compare("integer.=", "integers", operator.eq)
-
-
-def _int_unary(name, fn):
-    @instruction(name)
-    def op(state):
-        ints = state.integers
-        if not ints:
-            return False
-        ints[-1] = fn(ints[-1])
-        return True
-
-    return op
-
-
-_int_unary("integer.abs", abs)
-_int_unary("integer.neg", operator.neg)
+_convert("integer.abs", "integers", "integers", abs)
+_convert("integer.neg", "integers", "integers", operator.neg)
 
 
 def _int_log(name, base_log):

@@ -45,7 +45,7 @@ class InterpreterState:
     """
 
     dim: int
-    rng: np.random.Generator = None
+    rng: np.random.Generator
     booleans: list = field(default_factory=list)
     integers: list = field(default_factory=list)
     floats: list = field(default_factory=list)
@@ -60,8 +60,6 @@ class InterpreterState:
     def __post_init__(self):
         if self.step_limit < 1:
             raise ValueError("execution limit must be >= 1")
-        if self.rng is None:
-            self.rng = np.random.default_rng()
 
     def stack_snapshot(self):
         return (

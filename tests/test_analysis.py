@@ -12,7 +12,7 @@ from pushopt.analysis import (
 )
 from pushopt.harness import RunConfig, fitness, run_optimisation
 from pushopt.hybrid import Pool, PoolEntry, run_hybrid
-from pushopt.problems import Problem, ProblemFamily, make_function
+from pushopt.problems import Problem, ProblemFamily, Transform, make_function
 from pushopt.push import parse_program
 
 
@@ -62,7 +62,7 @@ def test_usage_requires_programs():
 
 
 def test_dynamic_usage_counts_executions():
-    family = ProblemFamily(make_function("STUB-7", 2, 0), randomize=False)
+    family = ProblemFamily(make_function("STUB-7", 2, 0), Transform.identity(2))
     config = RunConfig(swarm_size=1, moves=5, seed=3)
     rows = dynamic_instruction_usage(
         [parse_program("(3 exec.do*times float.rand)")], family, config
@@ -88,7 +88,7 @@ def test_usage_csv(tmp_path):
 
 
 def _sphere_family():
-    return ProblemFamily(make_function("STUB-SPHERE0", 2, 0), randomize=False)
+    return ProblemFamily(make_function("STUB-SPHERE0", 2, 0), Transform.identity(2))
 
 
 def test_simplify_removes_trailing_noop():
@@ -101,7 +101,7 @@ def test_simplify_removes_trailing_noop():
 
 def test_simplify_never_longer_never_worse():
     config = RunConfig(swarm_size=1, moves=10, seed=23)
-    family = ProblemFamily(make_function("F9", 2, 6), randomize=True)
+    family = ProblemFamily(make_function("F9", 2, 6))
     program = parse_program("(vector.best 0.3 vector.wrand vector.+ exec.noop boolean.rand)")
     before = fitness(program, family, 3, config)
     simplified, reported_before, reported_after = simplify(program, family, config, repeats=3)
@@ -113,7 +113,7 @@ def test_simplify_never_longer_never_worse():
 
 def test_simplify_idempotent():
     config = RunConfig(swarm_size=1, moves=10, seed=29)
-    family = ProblemFamily(make_function("F1", 2, 2), randomize=True)
+    family = ProblemFamily(make_function("F1", 2, 2))
     program = parse_program("(vector.best 0.5 vector.wrand vector.+ float.pop exec.noop)")
     once, _, once_fitness = simplify(program, family, config, repeats=2)
     twice, again_fitness, twice_fitness = simplify(once, family, config, repeats=2)

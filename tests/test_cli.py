@@ -129,6 +129,7 @@ def test_run_25_repeats_rows(tmp_path):
     assert code == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 1 + 25 + 1
+    assert all(line.split(",")[3] == "5" for line in lines[1:-1])  # the moves column
 
 
 def test_run_missing_program_file_fails_cleanly(tmp_path, capsys):
@@ -785,30 +786,28 @@ def test_usage_top_below_one_fails_cleanly(tmp_path, capsys, mode, top):
     argv += ["--function", "F1", "--dim", "2", "--moves", "5"]
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == "error: top must be >= 1\n"
-    assert not (tmp_path / "out" / "usage.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
-# ``checked_first`` marks the counts checked before --out is made; runs and
-# jobs are checked only once the command runs.
 @pytest.mark.parametrize(
-    "argv, config, checked_first",
+    "argv, config",
     [
-        (["analyze", "reevaluate", "--runs", "0"], None, False),
-        (["analyze", "reevaluate", "--jobs", "0"], None, False),
-        (["analyze", "reevaluate", "--jobs", "-3"], None, False),
-        (["evolve"], {"tournament": 0}, True),
-        (["evolve", "--jobs", "0"], {}, False),
-        (["evolve", "--jobs", "-3"], {}, False),
-        (["evolve"], {"gens": -1}, True),
-        (["evolve"], {"size_limit": 0}, True),
-        (["analyze", "reevaluate", "--execution-limit", "0"], None, True),
-        (["evolve"], {"execution_limit": 0}, True),
+        (["analyze", "reevaluate", "--runs", "0"], None),
+        (["analyze", "reevaluate", "--jobs", "0"], None),
+        (["analyze", "reevaluate", "--jobs", "-3"], None),
+        (["evolve"], {"tournament": 0}),
+        (["evolve", "--jobs", "0"], {}),
+        (["evolve", "--jobs", "-3"], {}),
+        (["evolve"], {"gens": -1}),
+        (["evolve"], {"size_limit": 0}),
+        (["analyze", "reevaluate", "--execution-limit", "0"], None),
+        (["evolve"], {"execution_limit": 0}),
     ],
     ids=["reevaluate-runs-0", "reevaluate-jobs-0", "reevaluate-jobs-neg", "evolve-tournament-0",
          "evolve-jobs-0", "evolve-jobs-neg", "evolve-gens-neg", "evolve-size-limit-0",
          "reevaluate-execution-limit-0", "evolve-execution-limit-0"],
 )
-def test_out_of_range_count_fails_cleanly(tmp_path, capsys, argv, config, checked_first):
+def test_out_of_range_count_fails_cleanly(tmp_path, capsys, argv, config):
     if config is None:
         program = tmp_path / "origin.txt"
         program.write_text("(0.0 vector.wrand)\n")
@@ -817,9 +816,9 @@ def test_out_of_range_count_fails_cleanly(tmp_path, capsys, argv, config, checke
         base = {"function": "F1", "D": 2, "pop": 4, "gens": 1, "repeats": 1, "moves": 5}
         argv = argv + ["--config", write_json(tmp_path / "config.json", {**base, **config})]
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    if checked_first:
-        assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # Inline program text longer than a file name may be (255 bytes on common
@@ -960,6 +959,19 @@ BAD_INPUTS = {
     "evolve-flip-prob-3": (lambda d: _evolve_with(d, transform_ranges={"flip_prob": 3}), "transform flip_prob"),
     "evolve-translate-frac-neg": (
         lambda d: _evolve_with(d, transform_ranges={"translate_frac": -1}), "transform translate_frac"),
+    "run-repeats-0": (
+        lambda d: ["run", "--program", ORIGIN, "--function", "F1", "--repeats", "0"], "repeats must be >= 1"),
+    "hybrid-repeats-0": (
+        lambda d: ["hybrid", "--dir", str(_write_checkpoints(d)), "--function", "F1", "--repeats", "0"],
+        "repeats must be >= 1"),
+    "simplify-repeats-0": (
+        lambda d: ["analyze", "simplify", "--program", ORIGIN, "--function", "F1", "--repeats", "0"],
+        "repeats must be >= 1"),
+    "evolve-repeats-0": (lambda d: _evolve_with(d, repeats=0), "repeats must be >= 1"),
+    "evolve-jobs-null": (lambda d: _evolve_with(d, jobs=None), "evolve: int() argument"),
+    "evolve-pop-null": (lambda d: _evolve_with(d, pop=None), "evolve: int() argument"),
+    "evolve-flip-prob-null": (
+        lambda d: _evolve_with(d, transform_ranges={"flip_prob": None}), "evolve: float() argument"),
 }
 
 
@@ -989,6 +1001,28 @@ def test_replayed_unknown_mode_fails_before_out_is_made(tmp_path, capsys, comman
     out = tmp_path / "out"
     assert run_cli("replay", "--manifest", write_json(tmp_path / "manifest.json", payload), "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: unknown {command} mode: 'bogus'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, params, message",
+    [
+        ("run", {"program": [1], "function": "F1"}, "run: a program is a path or program text, not list"),
+        ("run", {"program": ORIGIN, "function": "F1", "trajectory": [1]}, "run: expected str"),
+        ("analyze-reevaluate", {"programs": [ORIGIN, 5], "functions": ["F1"]},
+         "analyze-reevaluate: a program is a path or program text, not int"),
+        ("analyze-simplify", {"program": ORIGIN, "function": "F1", "tolerance": None},
+         "analyze-simplify: float() argument"),
+    ],
+    ids=["run-program-list", "run-trajectory-list", "reevaluate-program-int", "simplify-tolerance-null"],
+)
+def test_replayed_value_of_wrong_type_fails_before_out_is_made(tmp_path, capsys, command, params, message):
+    # Flags are typed by argparse; a manifest may hold any JSON value.
+    payload = {"command": command, "params": {"D": 2, "moves": 3, **params}}
+    out = tmp_path / "out"
+    assert run_cli("replay", "--manifest", write_json(tmp_path / "manifest.json", payload), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -196,13 +196,12 @@ def _small_config(seed=0, generations=2):
         tournament_size=3,
         size_limit=20,
         repeats=1,
-        run=RunConfig(swarm_size=1, moves=10),
-        seed=seed,
+        run=RunConfig(swarm_size=1, moves=10, seed=seed),
     )
 
 
 def _family():
-    return ProblemFamily(make_function("F1", 2, 5), randomize=True)
+    return ProblemFamily(make_function("F1", 2, 5))
 
 
 def test_evolve_zero_generations_returns_best_of_initial_population():
@@ -243,6 +242,21 @@ def test_evolve_population_invariants():
 def test_evolve_rates_must_sum_to_one():
     with pytest.raises(ValueError):
         EvolutionConfig(crossover_rate=0.5, mutation_rate=0.5, reproduction_rate=0.5)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("population_size", 0, "population size"),
+        ("tournament_size", 0, "tournament size"),
+        ("generations", -1, "generations"),
+        ("size_limit", 0, "size limit"),
+        ("repeats", 0, "repeats"),
+    ],
+)
+def test_config_counts_are_checked(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        EvolutionConfig(**{field: value})
 
 
 def test_config_defaults():

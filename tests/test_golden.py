@@ -41,7 +41,8 @@ def signature() -> str:
 
 def _write_inputs(in_dir: Path) -> dict:
     """The reference programs as files, a checkpoint and a pool manifest of
-    them, and an evolve config; returns their paths."""
+    them, an evolve config and a problem descriptor with an explicit
+    transform; returns their paths."""
     in_dir.mkdir(parents=True)
     programs = []
     for fid, text in EVOLVED_OPTIMISERS.items():
@@ -58,12 +59,20 @@ def _write_inputs(in_dir: Path) -> dict:
     config.write_text(json.dumps(
         {"function": "F1", "D": 2, "swarm": 2, "moves": 20, "pop": 10, "gens": 2, "repeats": 2, "seed": 11}
     ), encoding="utf-8")
-    return {"programs": programs, "checkpoint": str(checkpoint), "pool": str(pool), "config": str(config)}
+    descriptor = in_dir / "problem.json"
+    descriptor.write_text(json.dumps({
+        "id": "F9", "D": 3, "seed": 4,
+        "transform": {"translation": [0.5, -1.0, 0.25], "scale": [1.5, 0.75, 1.0], "flip": [1, -1, 1]},
+    }), encoding="utf-8")
+    return {"programs": programs, "checkpoint": str(checkpoint), "pool": str(pool), "config": str(config),
+            "descriptor": str(descriptor)}
 
 
 def _cases(inputs: dict) -> dict:
     """Case name -> argv without ``--out``; each command once, evolve and
-    reevaluate at one and two workers."""
+    reevaluate at one and two workers, ``run`` also with its default
+    identity transforms and with a descriptor's explicit transform, and
+    ``hybrid`` also in ``per_member`` mode."""
     reevaluate = ["analyze", "reevaluate", "--programs", *inputs["programs"], "--pools", inputs["pool"],
                   "--functions", *FUNCTIONS, "--dim", "3", "--runs", "2", "--swarm", "2",
                   "--moves", "30", "--seed", "9", "--problem-seed", "9"]
@@ -73,8 +82,15 @@ def _cases(inputs: dict) -> dict:
         "run": ["run", "--program", inputs["programs"][1], "--function", "F9", "--dim", "4",
                 "--swarm", "3", "--moves", "40", "--repeats", "2", "--transforms", "random",
                 "--seed", "5", "--trajectory", "{out}/trajectory.csv"],
+        "run_identity": ["run", "--program", inputs["programs"][0], "--function", "F12", "--dim", "3",
+                         "--swarm", "2", "--moves", "30", "--repeats", "2", "--seed", "3"],
+        "run_descriptor": ["run", "--program", inputs["programs"][1], "--problem", inputs["descriptor"],
+                           "--swarm", "2", "--moves", "30", "--repeats", "2", "--seed", "4"],
         "hybrid": ["hybrid", "--pool", inputs["pool"], "--function", "F14", "--dim", "5", "--swarm", "4",
                    "--moves", "30", "--repeats", "2", "--transforms", "random", "--seed", "6"],
+        "hybrid_per_member": ["hybrid", "--pool", inputs["pool"], "--mode", "per_member", "--function", "F9",
+                              "--dim", "3", "--swarm", "4", "--moves", "30", "--repeats", "2",
+                              "--transforms", "random", "--seed", "10"],
         "usage_static": ["analyze", "usage", "--checkpoints", inputs["checkpoint"]],
         "usage_dynamic": ["analyze", "usage", "--checkpoints", inputs["checkpoint"], "--mode", "dynamic",
                           "--function", "F12", "--dim", "3", "--swarm", "2", "--moves", "20", "--seed", "7"],

@@ -56,7 +56,7 @@ def test_degenerate_pool_matches_homogeneous_run():
 
 def test_selection_frequency_is_uniform():
     pool = five_pool()
-    source = PoolSource(pool, stream(5, "sel"))
+    source = PoolSource(pool, stream(5, "sel"), 7)
     counts = {}
     for i in range(10_000):
         program = source.select(i % 7, i)
@@ -67,8 +67,7 @@ def test_selection_frequency_is_uniform():
 
 def test_per_member_mode_assigns_persistent_programs():
     pool = five_pool()
-    source = PoolSource(pool, stream(6, "sel"), mode="per_member")
-    source.on_init(4)
+    source = PoolSource(pool, stream(6, "sel"), 4, mode="per_member")
     for member in range(4):
         programs = {source.select(member, move) for move in range(20)}
         assert len(programs) == 1
@@ -76,7 +75,7 @@ def test_per_member_mode_assigns_persistent_programs():
 
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
-        PoolSource(five_pool(), stream(0, "x"), mode="sometimes")
+        PoolSource(five_pool(), stream(0, "x"), 1, mode="sometimes")
 
 
 def test_stack_state_persists_across_program_switches():
@@ -92,7 +91,7 @@ def test_stack_state_persists_across_program_switches():
     from pushopt.harness import init_swarm, step_swarm
     from pushopt.hybrid import PoolSource as PS
 
-    swarm = init_swarm(PS(pool, stream(config.seed, "select")), problem, config)
+    swarm = init_swarm(PS(pool, stream(config.seed, "select"), config.swarm_size), problem, config)
     with instruction_errstate():
         for move in range(1, 13):
             step_swarm(swarm, problem, move)
@@ -163,19 +162,17 @@ def test_hybrid_budget_invariants():
 
 class ScalarDrawSource:
     """The reference for ``PoolSource``: one scalar ``integers(len(pool))``
-    draw per per-move ``select``, and one per member at initialisation."""
+    draw per per-move ``select``, and one per member when it is built."""
 
-    def __init__(self, pool, rng, mode):
+    def __init__(self, pool, rng, swarm_size, mode):
         self.pool = pool
         self.rng = rng
         self.mode = mode
+        if mode == "per_member":
+            self.assignments = [self.draw() for _ in range(swarm_size)]
 
     def draw(self):
         return self.pool.entries[int(self.rng.integers(len(self.pool)))].program
-
-    def on_init(self, swarm_size):
-        if self.mode == "per_member":
-            self.assignments = [self.draw() for _ in range(swarm_size)]
 
     def select(self, member, move):
         if self.mode == "per_member":
@@ -209,7 +206,7 @@ def test_block_draws_match_scalar_draws(monkeypatch, mode, pool_size, swarm_size
     config = RunConfig(swarm_size=swarm_size, moves=25, seed=17, record_trajectory=True)
     blocked = run_hybrid(pool, problem, config, mode)
     (select_rng,) = streams
-    reference = ScalarDrawSource(pool, stream(config.seed, "select"), mode)
+    reference = ScalarDrawSource(pool, stream(config.seed, "select"), swarm_size, mode)
     scalar = run_with_source(reference, problem, config)
     assert _rows(blocked) == _rows(scalar)
     assert blocked.pbest == scalar.pbest
@@ -217,12 +214,10 @@ def test_block_draws_match_scalar_draws(monkeypatch, mode, pool_size, swarm_size
 
 
 def test_selects_follow_scalar_draws_across_partial_blocks():
-    # The n-th select is the n-th scalar draw, also when selects do not
-    # come a whole block at a time.
+    # The n-th select is the n-th scalar draw, also when the selects stop
+    # part way through a block.
     pool = five_pool()
-    source = PoolSource(pool, stream(8, "select"))
-    reference = ScalarDrawSource(pool, stream(8, "select"), "per_move")
-    got = [source.select(0, 0)]
-    source.on_init(3)
-    got += [source.select(k % 3, k) for k in range(7)]
+    source = PoolSource(pool, stream(8, "select"), 3)
+    reference = ScalarDrawSource(pool, stream(8, "select"), 3, "per_move")
+    got = [source.select(k % 3, k) for k in range(8)]
     assert got == [reference.select(0, 0) for _ in range(8)]

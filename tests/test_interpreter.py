@@ -103,6 +103,12 @@ def test_invalid_limit_rejected():
         fresh_state(step_limit=0)
 
 
+def test_state_needs_an_rng():
+    # Every draw comes from a seeded stream; there is no unseeded fallback.
+    with pytest.raises(TypeError):
+        pushopt.push.InterpreterState(dim=2)
+
+
 def test_usage_tally_counts_instructions_not_literals():
     usage = {}
     st = fresh_state(usage=usage)

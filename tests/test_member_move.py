@@ -228,9 +228,6 @@ class _Alternating:
     def __init__(self, programs):
         self.programs = programs
 
-    def on_init(self, swarm_size):
-        pass
-
     def select(self, member, move):
         return self.programs[move % len(self.programs)]
 
@@ -268,9 +265,6 @@ def test_negative_zero_is_a_different_point(monkeypatch):
 class _PerMember:
     def __init__(self, programs):
         self.programs = programs
-
-    def on_init(self, swarm_size):
-        pass
 
     def select(self, member, move):
         return self.programs[member]

@@ -46,7 +46,7 @@ SCRIPT = textwrap.dedent(
 
     def evolve_result(jobs):
         config = EvolutionConfig(population_size=6, generations=2, repeats=2,
-                                 run=RunConfig(swarm_size=2, moves=8), seed=3)
+                                 run=RunConfig(swarm_size=2, moves=8, seed=3))
         result = evolve(config, ProblemFamily(make_function("SCRIPT-SPHERE", 2, 0)), jobs=jobs)
         return [print_program(result.best_program), repr(result.best_fitness),
                 [repr(s.mean) for s in result.stats],

@@ -358,7 +358,7 @@ GENOME_USAGE = {
 
 @pytest.mark.parametrize("limit", [100, 7])
 def test_dynamic_usage_counts_match_the_loop_only_interpreter(limit):
-    family = ProblemFamily(make_function("F1", 2, 0), randomize=True)
+    family = ProblemFamily(make_function("F1", 2, 0))
     config = RunConfig(swarm_size=2, moves=10, seed=3, execution_limit=limit)
     refs = [parse_program(EVOLVED_OPTIMISERS[fid]) for fid in REFERENCE_IDS]
     rows = dynamic_instruction_usage(refs, family, config)

@@ -6,6 +6,7 @@ import pytest
 from pushopt.problems import (
     Problem,
     ProblemFamily,
+    Transform,
     TransformRanges,
     make_function,
     problem_family_from_descriptor,
@@ -321,9 +322,9 @@ def test_transform_ranges_take_their_edge_values():
 
 def test_family_identity_vs_random():
     fn = make_function("F1", 2, 6)
-    identity = ProblemFamily(fn, randomize=False)
+    identity = ProblemFamily(fn, Transform.identity(2))
     assert identity.instance(stream(0, "x")).transform.is_identity()
-    randomized = ProblemFamily(fn, randomize=True)
+    randomized = ProblemFamily(fn)
     transforms = {
         tuple(randomized.instance(stream(0, "y", i)).transform.translation)
         for i in range(5)
@@ -337,7 +338,7 @@ def test_descriptor_round_trip():
     )
     assert family.function.id == "F9"
     assert family.function.dim == 3
-    assert not family.randomize
+    assert isinstance(family.transforms, Transform) and family.transforms.is_identity()
 
 
 def test_descriptor_explicit_transform():
