@@ -66,6 +66,8 @@ SWARM_DEFAULTS = {
     "swarm": RunConfig.swarm_size, "moves": RunConfig.moves,
     "execution_limit": RunConfig.execution_limit, "seed": RunConfig.seed,
 }
+# The values of the ``transforms`` key.
+TRANSFORMS = ("random", "identity")
 
 EVOLVE_DEFAULTS = {
     **PROBLEM_DEFAULTS,  # function and D are required
@@ -167,6 +169,8 @@ def _write_manifest(out_dir: Path, command: str, params: dict) -> None:
 
 
 def _problem_family(params: dict) -> ProblemFamily:
+    if params["transforms"] not in TRANSFORMS:
+        raise CliError(f"transforms must be one of {', '.join(TRANSFORMS)}, not {params['transforms']!r}")
     if params.get("problem_file"):
         return problem_family_from_descriptor(
             json.loads(Path(params["problem_file"]).read_text(encoding="utf-8"))
@@ -220,10 +224,10 @@ def _is_inline(value: str) -> bool:
 def _load_program_arg(value) -> Program:
     if _is_inline(value):
         return parse_program(value)
-    path = Path(value)
-    if path.exists():
-        return load_program(path)
-    raise CliError(f"program file not found: {value}")
+    # Path("") is the current directory, so blank text names no file.
+    if value.strip() and Path(value).exists():
+        return load_program(value)
+    raise CliError(f"program file not found: {value!r}")
 
 
 def _repeat_and_write(runner, params: dict, out_dir: Path, result_files=()):
@@ -263,7 +267,7 @@ def cmd_evolve(params: dict, out_dir: Path):
     family = _problem_family(params)
     rates = params["rates"]
     instruction_set = (
-        InstructionSet(params["instructions"]) if params["instructions"] else DEFAULT_INSTRUCTION_SET
+        DEFAULT_INSTRUCTION_SET if params["instructions"] is None else InstructionSet(params["instructions"])
     )
     config = evolution.EvolutionConfig(
         population_size=int(params["pop"]),
@@ -424,10 +428,11 @@ def cmd_analyze_reevaluate(params: dict, out_dir: Path):
         optimisers[_unique_label(optimisers, Path(entry).stem, entry)] = hybrid.load_pool_manifest(entry)
     if not optimisers:
         raise CliError("analyze reevaluate requires at least one program or pool")
-    functions = [
-        make_function(fid, int(params["D"]), int(params["problem_seed"]))
-        for fid in params["functions"]
-    ]
+    fids = params["functions"]
+    for k, fid in enumerate(fids):
+        if fid in fids[:k]:
+            raise CliError(f"function given twice: {fid}")
+    functions = [make_function(fid, int(params["D"]), int(params["problem_seed"])) for fid in fids]
     config = _run_config(params, record=False)
     runs, jobs = _count(params, "runs"), _count(params, "jobs")
     yield
@@ -492,7 +497,7 @@ FLAGS = {
     "D": ("--dim", {"type": int, "help": "problem dimensionality"}),
     "problem_seed": ("--problem-seed", {"type": int, "help": "seed of the function instance"}),
     "problem_file": ("--problem", {"help": "problem descriptor JSON file"}),
-    "transforms": ("--transforms", {"choices": ["random", "identity"], "help": "instance transforms"}),
+    "transforms": ("--transforms", {"choices": TRANSFORMS, "help": "instance transforms"}),
     "swarm": ("--swarm", {"type": int, "help": "swarm size"}),
     "moves": ("--moves", {"type": int, "help": "moves per run"}),
     "execution_limit": ("--execution-limit", {"type": int, "help": "executed items per move"}),

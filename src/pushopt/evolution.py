@@ -38,7 +38,10 @@ class EvolutionConfig:
     instruction_set: InstructionSet = DEFAULT_INSTRUCTION_SET
 
     def __post_init__(self):
-        total = self.crossover_rate + self.mutation_rate + self.reproduction_rate
+        rates = (self.crossover_rate, self.mutation_rate, self.reproduction_rate)
+        if not all(0.0 <= rate <= 1.0 for rate in rates):
+            raise ValueError(f"operator rates must each lie in [0, 1], got {rates}")
+        total = sum(rates)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"operator rates must sum to 1, got {total}")
         if self.population_size < 1:

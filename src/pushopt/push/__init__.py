@@ -1,6 +1,6 @@
 """A typed stack-program interpreter with a search-point vector extension."""
 
-from .interpreter import UnknownInstructionError, instruction_errstate, run_move
+from .interpreter import instruction_errstate, run_move
 from .ops import (
     DEFAULT_INSTRUCTION_SET,
     ERC_MARKERS,
@@ -31,7 +31,6 @@ __all__ = [
     "Program",
     "ProgramError",
     "SwarmContext",
-    "UnknownInstructionError",
     "default_instruction_set",
     "instruction_errstate",
     "load_program",

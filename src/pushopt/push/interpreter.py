@@ -3,16 +3,16 @@ interpreter state.
 
 A tuple on the exec stack is a group: a continuation that a loop instruction
 built. Executing it unpacks its items so they run in list order. Programs
-hold only instruction names and literals (``Program`` refuses anything
-else), so groups exist only at runtime. While usage is not counted, a loop
-whose body cannot see the exec stack runs its iterations inside the loop
-instruction and builds a group only when it stops early (see
+hold only registered names and literals (``Program`` refuses anything
+else), so groups exist only at runtime and every name the loop meets has a
+function, which never raises (see ``ops``). While usage is not counted, a
+loop whose body cannot see the exec stack runs its iterations inside the
+loop instruction and builds a group only when it stops early (see
 ``ops._do_range``).
 """
 
 from __future__ import annotations
 
-from operator import length_hint
 from types import FunctionType
 
 import numpy as np
@@ -40,10 +40,6 @@ def instruction(name, touches_exec=False):
     return register
 
 
-class UnknownInstructionError(KeyError):
-    pass
-
-
 def _run_exec(state: InterpreterState) -> None:
     # Hot loop: stacks are only ever mutated in place, so aliases of their
     # methods stay valid. The step count is synced with state.steps_used
@@ -63,10 +59,7 @@ def _run_exec(state: InterpreterState) -> None:
         kind = type(item)
         if kind is str:
             state.steps_used = steps
-            fn = registry.get(item)
-            if fn is None:
-                raise UnknownInstructionError(item)
-            fn(state)
+            registry[item](state)
             steps = state.steps_used
             if usage is not None:
                 usage[item] = usage.get(item, 0) + 1
@@ -76,11 +69,8 @@ def _run_exec(state: InterpreterState) -> None:
             push_integer(item)
         elif kind is bool:
             push_boolean(item)
-        elif kind is tuple:
-            ex.extend(reversed(item))
         else:
-            state.steps_used = steps
-            raise TypeError(f"cannot execute item of type {kind.__name__}")
+            ex.extend(reversed(item))
     state.steps_used = steps
 
 
@@ -109,16 +99,16 @@ def resolve_plan(items) -> tuple:
     Each instruction resolves to its registered function and each literal
     stands for itself. The plan stops before the first item that needs the
     exec stack to run exactly: an instruction registered with
-    ``touches_exec``, an unknown name or a group nested in a body. It
-    also stops at a name registered to anything but a plain function, so
-    that every other step is a literal. A plan keeps the functions
-    registered when it was resolved.
+    ``touches_exec`` or a group nested in a body. It also stops at a name
+    registered to anything but a plain function, so that every other step
+    is a literal. A plan keeps the functions registered when it was
+    resolved.
     """
     plan = []
     for item in items:
         kind = type(item)
         if kind is str:
-            fn = REGISTRY.get(item)
+            fn = REGISTRY[item]
             if type(fn) is not FunctionType or fn.touches_exec:
                 break
             plan.append(fn)
@@ -129,12 +119,10 @@ def resolve_plan(items) -> tuple:
     return tuple(plan)
 
 
-def run_steps(state: InterpreterState, steps) -> None:
-    """Run plan steps (see ``resolve_plan``) taken from the iterator
-    ``steps``, without the exec stack or the step counters, which the
-    caller keeps. When a step raises, the iterator has handed out every
-    step up to and including that one."""
-    for step in steps:
+def run_steps(state: InterpreterState, plan: tuple) -> None:
+    """Run the steps of ``plan`` (see ``resolve_plan``) without the exec
+    stack or the step counters, which the caller keeps."""
+    for step in plan:
         # Instructions first: literals are rare in programs.
         kind = type(step)
         if kind is FunctionType:
@@ -160,23 +148,14 @@ def run_move(state: InterpreterState, program) -> InterpreterState:
     in program order and without the exec stack, which none of them can
     see; the remaining items are then loaded onto the exec stack for the
     general loop. Step counts and leftover exec items are those of running
-    every item through the loop, also when the limit cuts the plan short or
-    an instruction raises. A ``usage`` dict is counted by the general loop
-    alone, so with one every item runs through it.
+    every item through the loop, also when the limit cuts the plan short. A
+    ``usage`` dict is counted by the general loop alone, so with one every
+    item runs through it.
     """
     items = program.items
     plan = program.plan[: state.step_limit] if state.usage is None else ()
     state.exec.clear()
-    steps = iter(plan)
-    try:
-        run_steps(state, steps)
-    except BaseException:
-        # The loop counts the raising item as a step and leaves the items
-        # after it on the exec stack.
-        ran = len(plan) - length_hint(steps)
-        state.steps_used = ran
-        state.exec.extend(reversed(items[ran:]))
-        raise
+    run_steps(state, plan)
     ran = len(plan)
     state.steps_used = ran
     if ran < len(items):

@@ -16,21 +16,18 @@ Conventions shared by all instructions:
 - Binary operators follow stack convention: with b on top of a, the result
   is ``a OP b`` (so ``float.-`` computes second minus top).
 - Every instruction function takes the interpreter state alone and
-  returns True if it executed and False if it degraded to a no-op.
+  returns True if it executed and False if it degraded to a no-op. It never
+  raises, so the interpreter neither guards nor undoes a call.
 - Every value on every stack is finite: literals are finite (``Program``
   rejects others), protected arithmetic refuses non-finite results and the
   harness pushes only finite objective values.
 - The exec stack holds instruction names, literals and groups: tuples of
   items that the loop instructions build as continuations (see
   ``interpreter``).
-- Instructions run under ``interpreter.instruction_errstate``, which
-  ``run_with_source`` enters once per run; direct callers of ``run_move``,
-  ``step_swarm`` or ``REGISTRY[name](state)`` enter it themselves.
-  Correctness, not only quiet, depends on it: vector arithmetic learns that
-  a result is non-finite from the ``FloatingPointError`` the state raises
-  for overflow, invalid and divide-by-zero flags. With finite operands, an
-  elementwise result is non-finite exactly when one of those flags is set;
-  outside the state a non-finite vector would be pushed.
+- Instructions run under ``interpreter.instruction_errstate`` (see there),
+  whose ``FloatingPointError`` tells vector arithmetic that a result is
+  not finite: with finite operands, an elementwise result is non-finite
+  exactly when the state raises.
 """
 
 from __future__ import annotations
@@ -494,30 +491,16 @@ def _do_range(state, current, dest, body):
         step = 1 if dest > current else -1
         plan = _body_plan(body) if state.usage is None else None
         if plan is not None:
-            unpack = 1 if type(body) is tuple else 0
-            cost = unpack + len(plan) + 4
+            cost = len(plan) + 4 + (1 if type(body) is tuple else 0)
             steps = state.steps_used
             limit = state.step_limit
-            body_steps = iter(())
-            try:
-                while steps + cost <= limit:
-                    body_steps = iter(plan)
-                    run_steps(state, body_steps)
-                    steps += cost
-                    current += step
-                    ints.append(current)
-                    if current == dest:
-                        break
-            except BaseException:
-                # As the loop leaves it: the raising item is charged a step,
-                # and the continuation and the group's unrun items stay on
-                # the exec stack.
-                ran = len(plan) - operator.length_hint(body_steps)
-                state.steps_used = steps + unpack + ran
-                ex.append((current + step, dest, "exec.do*range", body))
-                if unpack:
-                    ex.extend(reversed(body[ran:]))
-                raise
+            while steps + cost <= limit:
+                run_steps(state, plan)
+                steps += cost
+                current += step
+                ints.append(current)
+                if current == dest:
+                    break
             state.steps_used = steps
     if current == dest:
         ex.append(body)
@@ -810,29 +793,27 @@ def _vector_map(name, arity):
         body = state.exec.pop()
         operands = vs[-arity:]
         del vs[-arity:]
-        fn = REGISTRY.get(body) if type(body) is str and state.usage is None else None
+        fn = REGISTRY[body] if type(body) is str and state.usage is None else None
         direct = type(fn) is FunctionType
         floats = state.floats
         saved = state.exec
         state.exec = private = []
         out = []
-        try:
-            for components in zip(*[v.tolist() for v in operands]):
-                c = components[0]
-                if state.steps_used < state.step_limit:
-                    floats.extend(components)
-                    if direct:
-                        state.steps_used += 1
-                        fn(state)
-                    else:
-                        private.append(body)
-                    if private:
-                        _run_exec(state)
-                    if floats:
-                        c = floats.pop()
-                out.append(c)
-        finally:
-            state.exec = saved
+        for components in zip(*[v.tolist() for v in operands]):
+            c = components[0]
+            if state.steps_used < state.step_limit:
+                floats.extend(components)
+                if direct:
+                    state.steps_used += 1
+                    fn(state)
+                else:
+                    private.append(body)
+                if private:
+                    _run_exec(state)
+                if floats:
+                    c = floats.pop()
+            out.append(c)
+        state.exec = saved
         vs.append(np.array(out, dtype=operands[0].dtype))
         return True
 
@@ -875,6 +856,8 @@ class InstructionSet:
         # str() turns numpy string names into the str items the interpreter
         # runs.
         names = tuple(str(n) for n in names)
+        if not names:
+            raise ValueError("an instruction set needs at least one instruction")
         unknown = [n for n in names if n not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown instructions: {', '.join(unknown)}")

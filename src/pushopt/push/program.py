@@ -7,11 +7,11 @@ tokens are integer literals and any other numeric token is a float literal.
 Nested sublists are accepted on input and flattened depth-first; the
 canonical printed form is always a single flat list.
 
-A program holds only instruction names and finite literals: every item is a
-``str``, ``int``, ``float`` or ``bool``. Parsed programs have no length
-limit: genome length is an evolution setting (``EvolutionConfig.size_limit``),
-and the run time of a move is bounded by its execution limit, not by the
-program's length.
+A program holds only registered instruction names and finite literals:
+every item is a ``str``, ``int``, ``float`` or ``bool``. Parsed programs
+have no length limit: genome length is an evolution setting
+(``EvolutionConfig.size_limit``), and the run time of a move is bounded by
+its execution limit, not by the program's length.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .interpreter import resolve_plan
-from .ops import DEFAULT_INSTRUCTION_SET, InstructionSet
+from .interpreter import REGISTRY, resolve_plan
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 _ITEM_TYPES = frozenset((str, int, float, bool))
@@ -36,9 +35,10 @@ class ProgramError(ValueError):
 class Program:
     """An immutable linear genome of instruction names and literals.
 
-    Every item is a ``str``, ``int``, ``float`` or ``bool``, so a tuple on
-    the exec stack is always a group a loop instruction built. Float
-    literals must be finite, as on every stack the program runs on.
+    Every item is a ``str`` naming a registered instruction, or an
+    ``int``, ``float`` or ``bool``, so a tuple on the exec stack is always a
+    group a loop instruction built. Float literals must be finite, as on
+    every stack the program runs on.
     """
 
     items: tuple = ()
@@ -49,6 +49,8 @@ class Program:
                 raise ProgramError(f"non-finite literal: {item!r}")
             if type(item) not in _ITEM_TYPES:
                 raise ProgramError(f"not an instruction name or literal: {item!r}")
+            if type(item) is str and item not in REGISTRY:
+                raise ProgramError(f"unknown instruction: {item}")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -91,7 +93,7 @@ def print_program(program: Program) -> str:
     return "(" + " ".join(format_item(item) for item in program.items) + ")"
 
 
-def _classify_token(token: str, instruction_set: InstructionSet):
+def _classify_token(token: str):
     if token == "true":
         return True
     if token == "false":
@@ -102,13 +104,11 @@ def _classify_token(token: str, instruction_set: InstructionSet):
         # A non-finite value is refused when the Program is built.
         return float(token)
     except ValueError:
-        pass
-    if token in instruction_set:
+        # So is an unknown name.
         return token
-    raise ProgramError(f"unknown instruction: {token}")
 
 
-def parse_program(text: str, instruction_set: InstructionSet = DEFAULT_INSTRUCTION_SET) -> Program:
+def parse_program(text: str) -> Program:
     """Parse a parenthesized expression into a flat Program of any length.
 
     Raises ProgramError on unbalanced parentheses or unknown instruction
@@ -133,15 +133,15 @@ def parse_program(text: str, instruction_set: InstructionSet = DEFAULT_INSTRUCTI
         else:
             if depth == 0:
                 raise ProgramError(f"token outside parentheses: {token}")
-            items.append(_classify_token(token, instruction_set))
+            items.append(_classify_token(token))
     if depth != 0:
         raise ProgramError("unbalanced parentheses: missing ')'")
     return Program(tuple(items))
 
 
-def load_program(path, instruction_set=DEFAULT_INSTRUCTION_SET) -> Program:
+def load_program(path) -> Program:
     with open(path, encoding="utf-8") as fh:
-        return parse_program(fh.read(), instruction_set)
+        return parse_program(fh.read())
 
 
 def save_program(program: Program, path) -> None:

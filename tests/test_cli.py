@@ -929,6 +929,14 @@ BAD_INPUTS = {
     "reevaluate-missing-program": (
         lambda d: ["analyze", "reevaluate", "--programs", ORIGIN, str(d / "missing.txt"), "--functions", "F1"],
         "missing.txt"),
+    "run-empty-program": (lambda d: ["run", "--program", "", "--function", "F1"], "program file not found: ''"),
+    "simplify-empty-program": (
+        lambda d: ["analyze", "simplify", "--program", "", "--function", "F1"], "program file not found: ''"),
+    "reevaluate-empty-program": (
+        lambda d: ["analyze", "reevaluate", "--programs", "", "--functions", "F1"], "program file not found: ''"),
+    "reevaluate-function-twice": (
+        lambda d: ["analyze", "reevaluate", "--programs", ORIGIN, "--functions", "F1", "F9", "F1"],
+        "function given twice: F1"),
     "hybrid-missing-pool": (
         lambda d: ["hybrid", "--pool", str(d / "missing.json"), "--function", "F1"], "missing.json"),
     "reevaluate-missing-pool": (
@@ -950,6 +958,13 @@ BAD_INPUTS = {
     "evolve-rates-off-one": (
         lambda d: _evolve_with(d, rates={"crossover": 0.5, "mutation": 0.4, "reproduction": 0.2}),
         "operator rates must sum to 1"),
+    "evolve-rate-out-of-range": (
+        lambda d: _evolve_with(d, rates={"crossover": 1.5, "mutation": -0.5, "reproduction": 0}),
+        "operator rates must each lie in [0, 1], got (1.5, -0.5, 0.0)"),
+    "evolve-transforms-misspelt": (
+        lambda d: _evolve_with(d, transforms="randon"), "transforms must be one of random, identity, not 'randon'"),
+    "evolve-instructions-empty": (
+        lambda d: _evolve_with(d, instructions=[]), "an instruction set needs at least one instruction"),
     "run-execution-limit-0": (
         lambda d: ["run", "--program", ORIGIN, "--function", "F1", "--execution-limit", "0"],
         "execution limit must be >= 1"),
@@ -1013,8 +1028,13 @@ def test_replayed_unknown_mode_fails_before_out_is_made(tmp_path, capsys, comman
          "analyze-reevaluate: a program is a path or program text, not int"),
         ("analyze-simplify", {"program": ORIGIN, "function": "F1", "tolerance": None},
          "analyze-simplify: float() argument"),
+        ("run", {"program": ORIGIN, "function": "F1", "transforms": "randon"},
+         "transforms must be one of random, identity, not 'randon'"),
     ],
-    ids=["run-program-list", "run-trajectory-list", "reevaluate-program-int", "simplify-tolerance-null"],
+    ids=[
+        "run-program-list", "run-trajectory-list", "reevaluate-program-int", "simplify-tolerance-null",
+        "run-transforms-misspelt",
+    ],
 )
 def test_replayed_value_of_wrong_type_fails_before_out_is_made(tmp_path, capsys, command, params, message):
     # Flags are typed by argparse; a manifest may hold any JSON value.

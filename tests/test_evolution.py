@@ -252,6 +252,8 @@ def test_evolve_rates_must_sum_to_one():
         ("generations", -1, "generations"),
         ("size_limit", 0, "size limit"),
         ("repeats", 0, "repeats"),
+        ("crossover_rate", 1.5, r"operator rates must each lie in \[0, 1\], got \(1.5, "),
+        ("mutation_rate", -0.5, r"operator rates must each lie in \[0, 1\], got \(0.4, -0.5, "),
     ],
 )
 def test_config_counts_are_checked(field, value, message):

@@ -71,23 +71,9 @@ for _fn in REFERENCE.values():
     _fn.touches_exec = True
 
 
-def _raises(state):
-    # A plain instruction that changes a stack, then raises on every fourth
-    # index a loop pushes.
-    ints = state.integers
-    state.floats.append(0.25)
-    if ints and ints[-1] % 4 == 3:
-        raise OverflowError(f"test.raise at {ints[-1]}")
-    return True
-
-
-_raises.touches_exec = False
-
-
 @pytest.fixture(autouse=True, scope="module")
-def _registered():
-    with pytest.MonkeyPatch.context() as m, instruction_errstate():
-        m.setitem(REGISTRY, "test.raise", _raises)
+def _errstate():
+    with instruction_errstate():
         yield
 
 
@@ -112,11 +98,11 @@ def _bits(value):
     return (kind, value)
 
 
-def _outcome(state, error):
+def _outcome(state):
     # Everything a move leaves but usage counts: stacks by bits, leftover
-    # exec items, steps, the RNG state and the exception.
+    # exec items, steps and the RNG state.
     stacks = [[_bits(v) for v in stack] for stack in state.stack_snapshot()]
-    return stacks, state.steps_used, state.rng.bit_generator.state, error
+    return stacks, state.steps_used, state.rng.bit_generator.state
 
 
 # (counting, reference) of the three runs compared: the live instructions
@@ -132,14 +118,6 @@ def _assert_same(outcomes, counts, where):
     assert live == reference, where
     assert counted == reference, where
     assert list(counts[1].items()) == list(counts[2].items()), where
-
-
-def _run(runner, state, *args):
-    try:
-        runner(state, *args)
-    except Exception as exc:  # compared between the two paths
-        return (type(exc), str(exc))
-    return None
 
 
 def _new_state(dim, seed, points, **settings):
@@ -165,12 +143,10 @@ def assert_same_moves(items, dim, limit, seed, moves=6):
             state.integers.extend([move, 3, 0])
             state.usage = usage = {} if counting else None
             with _loops(swap):
-                error = _run(run_move, state, program)
-            outcomes.append(_outcome(state, error))
+                run_move(state, program)
+            outcomes.append(_outcome(state))
             counts.append(usage)
         _assert_same(outcomes, counts, f"move {move}")
-        if outcomes[0][-1] is not None:
-            return
         for state in states:
             state.floats.append(float(move))
             if not state.vectors:
@@ -178,8 +154,7 @@ def assert_same_moves(items, dim, limit, seed, moves=6):
 
 
 # Loops, plain instructions (stack shufflers among them), instructions that
-# see the exec stack, the raising instruction and, through the ERC markers,
-# literals.
+# see the exec stack and, through the ERC markers, literals.
 PLAIN = (
     "float.abs", "float.+", "float.rand", "integer.+", "integer.dup", "integer.pop",
     "integer.yank", "float.shove", "vector.+", "vector.rand", "boolean.not", "exec.noop",
@@ -204,8 +179,6 @@ def test_random_genomes_run_as_with_re_entry(seed, dim, limit, n_plain, n_exec):
         *rng.choice(PLAIN, n_plain).tolist(),
         *rng.choice(EXEC_SIDE, n_exec).tolist(),
     ]
-    if rng.random() < 0.3:
-        names.append("test.raise")
     program = random_program(InstructionSet(dict.fromkeys(names)), 25, rng)
     assert_same_moves(program.items, dim, limit, seed)
 
@@ -219,8 +192,6 @@ BODY_PROGRAMS = {
     "nested loop": (2, "exec.do*times", "exec.do*times", "float.abs", 3, "exec.do*times", 1.0),
     "loop body": (0, 3, "exec.do*range", "exec.do*count", "integer.dup"),
     "exec-side name": (0, 5, "exec.do*range", "exec.stackdepth", 4, "exec.do*times", "exec.dup", 2.0),
-    "raise": (0, 6, "exec.do*range", "test.raise", 1.0),
-    "raise in hidden group": (2, 9, "exec.do*range", "integer.dup", 8, "exec.do*times", "test.raise"),
     "one iteration": (1, "exec.do*count", "float.abs", 1, "exec.do*times", 2.0, 4, 4, "exec.do*range", 3),
     "refused": (0, "exec.do*times", 1.0, -3, "exec.do*count", 2.0, "exec.do*range"),
 }
@@ -236,14 +207,12 @@ def test_each_body_kind_runs_as_with_re_entry(kind):
 
 
 # Exec stacks a genome cannot start with, in program order: bodies that are
-# groups, plain or holding a nested group, groups that raise in their
-# middle, and loops reached through vector.apply's nested run.
+# groups, plain or holding a nested group, and loops reached through
+# vector.apply's nested run.
 GROUP_STACKS = {
     "plain group": (0, 3, "exec.do*range", (1.5, "float.neg", 2), "float.abs"),
     "nested group": (4, "exec.do*times", (("float.abs",), 2.5)),
     "exec-side group": (3, 0, "exec.do*range", ("exec.stackdepth", 1.0)),
-    "raise mid-group": (0, 5, "exec.do*range", (1.0, "test.raise", "float.abs", 0.5)),
-    "raise in count group": (9, "exec.do*count", ("integer.dup", "test.raise", 2.0)),
     "empty group": (4, "exec.do*count", ()),
     "apply": ("vector.apply", (0, 2, "exec.do*range", "float.neg")),
     "apply group": ("vector.apply", (3, "exec.do*count", ("float.abs", "integer.pop"))),
@@ -267,8 +236,8 @@ def _assert_same_stack_run(items, dim, limit):
         state.step_limit = limit
         state.usage = usage = {"float.abs": 1} if counting else None
         with _loops(swap):
-            error = _run(_run_exec, state)
-        outcomes.append(_outcome(state, error))
+            _run_exec(state)
+        outcomes.append(_outcome(state))
         counts.append(usage)
     _assert_same(outcomes, counts, (limit, dim))
 

@@ -22,9 +22,7 @@ from pushopt.push import (
     InstructionSet,
     InterpreterState,
     Program,
-    ProgramError,
     SwarmContext,
-    UnknownInstructionError,
     instruction_errstate,
     parse_program,
     run_move,
@@ -73,14 +71,6 @@ def _snapshot(state):
     )
 
 
-def _attempt(runner, state, program):
-    try:
-        runner(state, program)
-    except Exception as exc:  # compared between the paths
-        return type(exc), str(exc)
-    return None
-
-
 def assert_same_moves(program, dim, limit, seed, moves=8):
     """Run ``program`` move by move on three identical states, with
     harness-like feedback between moves, and compare everything after every
@@ -103,14 +93,12 @@ def assert_same_moves(program, dim, limit, seed, moves=8):
         for state in states:
             state.integers.extend([move, 1, 0])
         counted.usage, looped.usage = usage, want_usage = {}, {}
-        want = _attempt(loop_move, looped, program)
-        assert _attempt(run_move, planned, program) == want, f"move {move}"
-        assert _attempt(run_move, counted, program) == want, f"move {move}"
+        loop_move(looped, program)
+        run_move(planned, program)
+        run_move(counted, program)
         assert usage == want_usage, f"move {move}"
         assert _snapshot(planned) == _snapshot(looped), f"move {move}"
         assert _snapshot(counted) == _snapshot(looped), f"move {move}"
-        if want is not None:
-            return
         for state in states:
             state.booleans.append(move % 2 == 0)
             state.floats.append(float(move))
@@ -232,71 +220,6 @@ def test_touches_exec_marks_exactly_the_instructions_that_touch_it():
     assert flagged == (exec_names - {"exec.noop"}) | {"vector.apply", "vector.zip"}
 
 
-def _unchecked_program(items):
-    """A program built around ``Program``'s item check: the items a move
-    meets when code loads the exec stack without building a program."""
-    program = object.__new__(Program)
-    object.__setattr__(program, "items", tuple(items))
-    return program
-
-
-@pytest.mark.parametrize(
-    "items, error",
-    [
-        ((1, "integer.dup", "no.such", 3), UnknownInstructionError),
-        ((1, "integer.dup", None, 3), TypeError),
-    ],
-)
-def test_bad_item_raises_after_earlier_items(items, error):
-    # The items before the bad one run; the error leaves the step count and
-    # the exec stack the loop leaves, without counting usage and while
-    # counting it. A limit before the bad item stops the move without an
-    # error. An item that is neither a name nor a literal is refused when
-    # the program is built; the loop still raises for one that reaches it.
-    if error is TypeError:
-        with pytest.raises(ProgramError):
-            Program(items)
-        program = _unchecked_program(items)
-    else:
-        program = Program(items)
-    for usage in (None, {}):
-        state = InterpreterState(dim=2, rng=np.random.default_rng(0), usage=usage)
-        with pytest.raises(error):
-            run_move(state, program)
-        assert state.steps_used == 3
-        assert state.exec == [3]
-        assert state.integers == [1, 1]
-    assert usage == {"integer.dup": 1}
-    for limit in (1, 2, 3, 100):
-        assert_same_moves(program, 2, limit, seed=0, moves=2)
-
-
-def _raises(state):
-    state.floats.append(1.5)
-    raise OverflowError("test.raise")
-
-
-_raises.touches_exec = False
-
-
-def test_raise_inside_the_plan_leaves_what_the_loop_leaves(monkeypatch):
-    # A plain instruction that raises after changing a stack; it sits inside
-    # the plan, after an instruction whose use is counted. The plan runs
-    # only without counting; the second run counts.
-    monkeypatch.setitem(REGISTRY, "test.raise", _raises)
-    program = Program((1, "integer.dup", 2.5, "test.raise", 3, "integer.+"))
-    assert len(program.plan) == len(program)
-    for usage in (None, {}):
-        state = InterpreterState(dim=2, rng=np.random.default_rng(0), usage=usage)
-        with pytest.raises(OverflowError):
-            run_move(state, program)
-        assert state.steps_used == 4
-        assert state.exec == ["integer.+", 3]
-        assert state.floats == [2.5, 1.5]
-    assert usage == {"integer.dup": 1}
-    assert_same_moves(program, 2, 100, seed=0, moves=1)
-
-
 def test_pickled_program_drops_its_plan():
     program = parse_program(EVOLVED_OPTIMISERS["F14"])
     run_move(InterpreterState(dim=2, rng=np.random.default_rng(0)), program)
@@ -376,10 +299,8 @@ def loop_single_item(state, item):
     """One item through a nested loop on a private exec stack."""
     saved = state.exec
     state.exec = [item]
-    try:
-        _run_exec(state)
-    finally:
-        state.exec = saved
+    _run_exec(state)
+    state.exec = saved
 
 
 def _reference_map(arity):
@@ -423,8 +344,7 @@ def _pushes_onto_exec(state):
 _pushes_onto_exec.touches_exec = True
 
 SINGLE_ITEM_BODIES = sorted(REGISTRY) + [
-    2.5, 3, True, ("float.neg", 1.5, "exec.dup", "float.abs"), (),
-    "no.such", "test.partial", "test.pushes", "test.raise",
+    2.5, 3, True, ("float.neg", 1.5, "exec.dup", "float.abs"), (), "test.partial", "test.pushes",
 ]
 
 # (steps used, step limit) before the map: steps to spare, limits that cut
@@ -443,10 +363,9 @@ def _bare_state():
 def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
     # vector.apply and vector.zip run their body, the next exec item, once
     # per component as the item alone runs through a nested loop: every
-    # registered instruction, literals, groups, an unknown name, a
-    # registered callable that is not a plain function, a touches_exec
-    # instruction that leaves items on its private exec stack and a plain
-    # instruction that raises; on full stacks and on bare ones that hold
+    # registered instruction, literals, groups, a registered callable that
+    # is not a plain function and a touches_exec instruction that leaves
+    # items on its private exec stack; on full stacks and on bare ones that hold
     # only the operand vectors, under each of MAP_LIMITS. Three runs are
     # compared: the live map without counting usage, which resolves the
     # body once, the live map counting usage and the reference map counting
@@ -455,7 +374,6 @@ def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
     negate.touches_exec = False
     monkeypatch.setitem(REGISTRY, "test.partial", negate)
     monkeypatch.setitem(REGISTRY, "test.pushes", _pushes_onto_exec)
-    monkeypatch.setitem(REGISTRY, "test.raise", _raises)
     for name in REFERENCE_MAPS:
         for full in (True, False):
             for steps_used, limit in MAP_LIMITS:
@@ -471,13 +389,9 @@ def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
                         if reference:
                             for map_name, fn in REFERENCE_MAPS.items():
                                 m.setitem(REGISTRY, map_name, fn)
-                        try:
-                            result = REGISTRY[name](state)
-                            error = None
-                        except Exception as exc:  # compared between the runs
-                            result, error = None, (type(exc), str(exc))
+                        result = REGISTRY[name](state)
                     assert state.exec is caller_exec
-                    outcomes.append((_snapshot(state), result, error))
+                    outcomes.append((_snapshot(state), result))
                     counts.append(list(state.usage.items()) if counting else None)
                 where = (name, full, steps_used, limit)
                 assert outcomes[0] == outcomes[2], where

@@ -72,6 +72,14 @@ def test_program_rejects_items_that_are_not_names_or_literals(item):
         Program(("float.+", 1.0, item))
 
 
+@pytest.mark.parametrize("name", ["no.such", "float.erc"])
+def test_program_rejects_unknown_instruction_names(name):
+    # Names are checked when a program is built, so the interpreter runs
+    # every name it meets without a lookup check.
+    with pytest.raises(ProgramError, match=f"unknown instruction: {name}"):
+        Program(("float.abs", name))
+
+
 def test_parse_has_no_length_limit():
     # Genome length is an evolution setting; readers take what evolve wrote.
     text = "(" + " ".join(["exec.noop"] * 101) + ")"
