@@ -3,11 +3,10 @@ re-evaluation reports with mean ranks."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from itertools import islice
 
-from .harness import RunConfig, fitness, format_value, init_swarm, run_optimisation, step_swarm
+from .harness import RunConfig, fitness, format_value, init_swarm, run_optimisation, step_swarm, write_csv
 from .hybrid import Pool, run_hybrid
 from .parallel import worker_pool
 from .problems import Problem, ProblemFamily
@@ -71,11 +70,9 @@ def dynamic_instruction_usage(
 
 
 def write_usage_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "instruction", "count", "rate"])
-        for rank, row in enumerate(rows, start=1):
-            writer.writerow([rank, row.instruction, row.count, format_value(row.rate)])
+    write_csv(path, ["rank", "instruction", "count", "rate"], (
+        [rank, row.instruction, row.count, format_value(row.rate)] for rank, row in enumerate(rows, start=1)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +210,16 @@ def reevaluate(
 
 
 def write_error_table_csv(path, report: ReevalReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["optimiser", "runs"] + list(report.problem_ids) + ["mean_rank"])
-        for i, name in enumerate(report.names):
-            row = [name, report.runs]
-            row += [format_value(m) for m in report.means[i]]
-            row.append(format_value(report.mean_ranks[i]))
-            writer.writerow(row)
+    write_csv(path, ["optimiser", "runs", *report.problem_ids, "mean_rank"], (
+        [name, report.runs, *map(format_value, report.means[i]), format_value(report.mean_ranks[i])]
+        for i, name in enumerate(report.names)
+    ))
 
 
 def write_per_run_csv(path, report: ReevalReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["optimiser", "problem", "run", "pbest"])
-        for i, name in enumerate(report.names):
-            for j, pid in enumerate(report.problem_ids):
-                for r, value in enumerate(report.per_run[i][j]):
-                    writer.writerow([name, pid, r, format_value(value)])
+    write_csv(path, ["optimiser", "problem", "run", "pbest"], (
+        [name, pid, r, format_value(value)]
+        for i, name in enumerate(report.names)
+        for j, pid in enumerate(report.problem_ids)
+        for r, value in enumerate(report.per_run[i][j])
+    ))

@@ -11,7 +11,6 @@ randomness flows from the single ``seed`` parameter via named stream splitting.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import sys
@@ -24,6 +23,7 @@ from .harness import (
     format_value,
     repeated_runs,
     run_optimisation,
+    write_csv,
     write_trajectory_csv,
     write_trajectory_jsonl,
 )
@@ -135,24 +135,56 @@ REEVALUATE_DEFAULTS = {
 
 
 def resolve_params(defaults: dict, given: dict, command: str) -> dict:
-    """Overlay ``given`` on ``defaults``; unknown keys are hard errors."""
+    """Overlay ``given`` on ``defaults``. An unknown key, or a value that
+    does not have its key's JSON type, is a hard error."""
     if not isinstance(given, dict):
         raise CliError(f"{command} params must be a JSON object, not {type(given).__name__}")
     unknown = set(given) - set(defaults)
     if unknown:
         raise CliError(f"unknown {command} config keys: {', '.join(sorted(unknown))}")
-    params = {}
-    for key, default in defaults.items():
-        value = given.get(key, default)
-        if isinstance(default, dict) and key in given:
-            if not isinstance(value, dict):
-                raise CliError(f"{command} config key {key} must be a JSON object")
-            extra = set(value) - set(default)
-            if extra:
-                raise CliError(f"unknown {command} config keys under {key}: {', '.join(sorted(extra))}")
-            value = {**default, **value}
-        params[key] = value
-    return params
+    return {
+        key: _checked(given[key], default, key, command) if key in given else default
+        for key, default in defaults.items()
+    }
+
+
+# What an error message calls a value of each type, and a list of them.
+_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"), str: ("a string", "strings")}
+
+
+def _has_type(value, kind) -> bool:
+    # A JSON integer within the range of a float is a number too; a JSON
+    # boolean is neither.
+    if kind is float and type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return type(value) is kind
+
+
+def _checked(value, default, key: str, command: str):
+    """``value`` if it has the JSON type of ``key``: that of ``default`` or,
+    where that is null, of the key's flag; null only where ``default`` is.
+    An object is checked key by key and completed from ``default``."""
+    if isinstance(default, dict):
+        if type(value) is not dict:
+            raise CliError(f"{command}: {key} must be a JSON object, not {json.dumps(value)}")
+        extra = set(value) - set(default)
+        if extra:
+            raise CliError(f"unknown {command} config keys under {key}: {', '.join(sorted(extra))}")
+        return {k: _checked(value[k], d, f"{key}.{k}", command) if k in value else d for k, d in default.items()}
+    if default is None:
+        settings = FLAGS[key][1] if key in FLAGS else UNFLAGGED[key]
+        kind, many = settings.get("type", str), "nargs" in settings
+    else:
+        many = isinstance(default, list)
+        kind = type(default[0] if default else "") if many else type(default)
+    if many:
+        fits = type(value) is list and all(_has_type(item, kind) for item in value)
+    else:
+        fits = _has_type(value, kind)
+    if not (fits or (value is None and default is None)):
+        wanted = f"a list of {_TYPE_NAMES[kind][1]}" if many else _TYPE_NAMES[kind][0]
+        raise CliError(f"{command}: {key} must be {wanted}, not {json.dumps(value)}")
+    return value
 
 
 def _require(params: dict, keys, command: str) -> None:
@@ -172,17 +204,13 @@ def _problem_family(params: dict) -> ProblemFamily:
     if params["transforms"] not in TRANSFORMS:
         raise CliError(f"transforms must be one of {', '.join(TRANSFORMS)}, not {params['transforms']!r}")
     if params.get("problem_file"):
-        return problem_family_from_descriptor(
-            json.loads(Path(params["problem_file"]).read_text(encoding="utf-8"))
-        )
+        return problem_family_from_descriptor(_load_json_object(params["problem_file"]))
     _require(params, ["function", "D"], "problem selection")
-    function = make_function(params["function"], int(params["D"]), int(params["problem_seed"]))
+    function = make_function(params["function"], params["D"], params["problem_seed"])
     ranges = params.get("transform_ranges")
     # Ranges are built and checked even when the transforms are identity.
     ranges = DEFAULT_TRANSFORM_RANGES if ranges is None else TransformRanges(
-        translate_frac=float(ranges["translate_frac"]),
-        scale=tuple(map(float, ranges["scale"])),
-        flip_prob=float(ranges["flip_prob"]),
+        **{**ranges, "scale": tuple(ranges["scale"])}
     )
     return ProblemFamily(
         function, ranges if params["transforms"] == "random" else Transform.identity(function.dim)
@@ -190,11 +218,10 @@ def _problem_family(params: dict) -> ProblemFamily:
 
 
 def _count(params: dict, key: str) -> int:
-    """``params[key]`` as an int, checked as the library checks its counts."""
-    value = int(params[key])
-    if value < 1:
+    """``params[key]``, checked as the library checks its counts."""
+    if params[key] < 1:
         raise CliError(f"{key} must be >= 1")
-    return value
+    return params[key]
 
 
 def _mode(params: dict, command: str) -> str:
@@ -205,19 +232,17 @@ def _mode(params: dict, command: str) -> str:
 
 def _run_config(params: dict, record: bool) -> RunConfig:
     return RunConfig(
-        swarm_size=int(params["swarm"]),
-        moves=int(params["moves"]),
-        execution_limit=int(params["execution_limit"]),
+        swarm_size=params["swarm"],
+        moves=params["moves"],
+        execution_limit=params["execution_limit"],
         record_trajectory=record,
-        seed=int(params["seed"]),
+        seed=params["seed"],
     )
 
 
 def _is_inline(value: str) -> bool:
     # Inline text is told apart before the filesystem is asked: text longer
     # than a file name would make the probe itself fail.
-    if not isinstance(value, str):
-        raise TypeError(f"a program is a path or program text, not {type(value).__name__}")
     return value.lstrip().startswith("(")
 
 
@@ -245,16 +270,14 @@ def _repeat_and_write(runner, params: dict, out_dir: Path, result_files=()):
                 raise CliError(f"trajectory {params['trajectory']} would overwrite the result file {name}")
     yield
     report = repeated_runs(runner, family, repeats, config)
-    with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["repeat", "pbest", "evaluations", "moves"])
-        for r, result in enumerate(report.results):
-            writer.writerow([r, format_value(result.pbest), result.evaluations_used, config.moves])
-        writer.writerow(["mean", format_value(report.mean), "", ""])
+    rows = [[r, format_value(result.pbest), result.evaluations_used, config.moves]
+            for r, result in enumerate(report.results)]
+    rows.append(["mean", format_value(report.mean), "", ""])
+    write_csv(out_dir / "results.csv", ["repeat", "pbest", "evaluations", "moves"], rows)
     if record:
         path = Path(params["trajectory"])
         write = write_trajectory_jsonl if str(path).endswith(".jsonl") else write_trajectory_csv
-        write(path, list(enumerate(report.results)), run_id=int(params["seed"]))
+        write(path, list(enumerate(report.results)), run_id=params["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +293,14 @@ def cmd_evolve(params: dict, out_dir: Path):
         DEFAULT_INSTRUCTION_SET if params["instructions"] is None else InstructionSet(params["instructions"])
     )
     config = evolution.EvolutionConfig(
-        population_size=int(params["pop"]),
-        generations=int(params["gens"]),
-        tournament_size=int(params["tournament"]),
-        size_limit=int(params["size_limit"]),
-        crossover_rate=float(rates["crossover"]),
-        mutation_rate=float(rates["mutation"]),
-        reproduction_rate=float(rates["reproduction"]),
-        repeats=int(params["repeats"]),
+        population_size=params["pop"],
+        generations=params["gens"],
+        tournament_size=params["tournament"],
+        size_limit=params["size_limit"],
+        crossover_rate=rates["crossover"],
+        mutation_rate=rates["mutation"],
+        reproduction_rate=rates["reproduction"],
+        repeats=params["repeats"],
         run=_run_config(params, record=False),
         instruction_set=instruction_set,
     )
@@ -297,12 +320,11 @@ def cmd_evolve(params: dict, out_dir: Path):
 
     result = evolution.evolve(config, family, on_generation=on_generation, jobs=jobs)
     save_program(result.best_program, out_dir / "best_program.txt")
-    with open(out_dir / "generations.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["generation", "best", "mean", "median", "best_so_far"])
-        for s in result.stats:
-            values = (s.best, s.mean, s.median, s.best_so_far)
-            writer.writerow([s.generation] + [format_value(v) for v in values])
+    write_csv(
+        out_dir / "generations.csv",
+        ["generation", "best", "mean", "median", "best_so_far"],
+        ([s.generation, *map(format_value, (s.best, s.mean, s.median, s.best_so_far))] for s in result.stats),
+    )
 
 
 def cmd_run(params: dict, out_dir: Path):
@@ -323,8 +345,7 @@ def cmd_hybrid(params: dict, out_dir: Path):
     if params.get("pool"):
         pool = hybrid.load_pool_manifest(params["pool"])
     elif params.get("dir"):
-        top = int(params["top"]) if params.get("top") is not None else None
-        pool = hybrid.build_pool(_checkpoint_files(params["dir"]), top_n=top)
+        pool = hybrid.build_pool(_checkpoint_files(params["dir"]), top_n=params["top"])
     else:
         raise CliError("hybrid requires a pool manifest or a checkpoint dir")
     mode = _mode(params, "hybrid")
@@ -392,12 +413,10 @@ def cmd_analyze_usage(params: dict, out_dir: Path):
         per_label[label] = rows
         safe = label.replace("/", "_").replace("\\", "_")
         analysis.write_usage_csv(out_dir / f"usage_{safe}.csv", rows)
-    with open(out_dir / "usage.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", *per_label])
-        for rank in range(top):
-            cells = (rows[rank].instruction if rank < len(rows) else "" for rows in per_label.values())
-            writer.writerow([rank + 1, *cells])
+    write_csv(out_dir / "usage.csv", ["rank", *per_label], (
+        [rank + 1, *(rows[rank].instruction if rank < len(rows) else "" for rows in per_label.values())]
+        for rank in range(top)
+    ))
 
 
 def cmd_analyze_simplify(params: dict, out_dir: Path):
@@ -406,15 +425,14 @@ def cmd_analyze_simplify(params: dict, out_dir: Path):
     program = _load_program_arg(params["program"])
     family = _problem_family(params)
     config = _run_config(params, record=False)
-    repeats, tolerance = _count(params, "repeats"), float(params["tolerance"])
+    repeats, tolerance = _count(params, "repeats"), params["tolerance"]
     yield
     simplified, before, after = analysis.simplify(program, family, config, repeats=repeats, tolerance=tolerance)
     save_program(simplified, out_dir / "simplified.txt")
-    with open(out_dir / "simplify.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant", "length", "fitness"])
-        writer.writerow(["input", len(program), format_value(before)])
-        writer.writerow(["simplified", len(simplified), format_value(after)])
+    write_csv(out_dir / "simplify.csv", ["variant", "length", "fitness"], [
+        ["input", len(program), format_value(before)],
+        ["simplified", len(simplified), format_value(after)],
+    ])
 
 
 def cmd_analyze_reevaluate(params: dict, out_dir: Path):
@@ -432,7 +450,7 @@ def cmd_analyze_reevaluate(params: dict, out_dir: Path):
     for k, fid in enumerate(fids):
         if fid in fids[:k]:
             raise CliError(f"function given twice: {fid}")
-    functions = [make_function(fid, int(params["D"]), int(params["problem_seed"])) for fid in fids]
+    functions = [make_function(fid, params["D"], params["problem_seed"]) for fid in fids]
     config = _run_config(params, record=False)
     runs, jobs = _count(params, "runs"), _count(params, "jobs")
     yield
@@ -456,19 +474,16 @@ def execute(command: str, given: dict, out_dir, replay: bool = False) -> None:
     made only once the command has loaded and checked its inputs. A replay
     writes a trajectory under ``out_dir``, never over the original run's
     file."""
-    if command not in COMMANDS:
+    if type(command) is not str or command not in COMMANDS:
         raise CliError(f"unknown command: {command!r}")
     defaults, fn = COMMANDS[command]
     params = resolve_params(defaults, given, command)
     out_dir = Path(out_dir)
     run_params = params
-    try:
-        if replay and params.get("trajectory") is not None:
-            run_params = {**params, "trajectory": str(out_dir / Path(params["trajectory"]).name)}
-        steps = fn(run_params, out_dir)
-        next(steps)
-    except TypeError as exc:  # a parameter of the wrong JSON type
-        raise CliError(f"{command}: {exc}") from None
+    if replay and params.get("trajectory") is not None:
+        run_params = {**params, "trajectory": str(out_dir / Path(params["trajectory"]).name)}
+    steps = fn(run_params, out_dir)
+    next(steps)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, command, params)
     next(steps, None)
@@ -508,6 +523,10 @@ FLAGS = {
     "trajectory": ("--trajectory", {"help": "write trajectory CSV to this path"}),
     "jobs": ("--jobs", {"type": int, "help": "parallel worker processes"}),
 }
+
+# The flag settings that type the one key with neither a default nor a
+# flag: a list of instruction names.
+UNFLAGGED = {"instructions": {"nargs": "*"}}
 
 MODES = {"hybrid": hybrid.MODES, "analyze-usage": ["static", "dynamic"]}
 

@@ -38,7 +38,7 @@ class EvolutionConfig:
     instruction_set: InstructionSet = DEFAULT_INSTRUCTION_SET
 
     def __post_init__(self):
-        rates = (self.crossover_rate, self.mutation_rate, self.reproduction_rate)
+        rates = tuple(map(float, (self.crossover_rate, self.mutation_rate, self.reproduction_rate)))
         if not all(0.0 <= rate <= 1.0 for rate in rates):
             raise ValueError(f"operator rates must each lie in [0, 1], got {rates}")
         total = sum(rates)

@@ -54,6 +54,8 @@ class RunConfig:
             raise ValueError("moves must be >= 1")
         if self.execution_limit < 1:
             raise ValueError("execution limit must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def budget(self) -> int:
@@ -343,6 +345,14 @@ def format_value(x) -> str:
     return repr(float(x))
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a result table: ``header``, then ``rows``, with "\\n" line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _checked_runs(runs):
     runs = list(runs)
     if not runs:
@@ -360,18 +370,12 @@ def write_trajectory_csv(path, runs, run_id=0) -> None:
     """
     runs = _checked_runs(runs)
     dim = len(runs[0][1].trajectory[0].point)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["run", "repeat", "move", "member"]
-        header += [f"x{i}" for i in range(dim)]
-        header += ["error", "in_bounds", "pbest"]
-        writer.writerow(header)
-        for repeat, result in runs:
-            for row in result.trajectory:
-                record = [run_id, repeat, row.move, row.member]
-                record += [format_value(c) for c in row.point]
-                record += [format_value(row.value), int(row.in_bounds), format_value(row.pbest)]
-                writer.writerow(record)
+    header = ["run", "repeat", "move", "member", *(f"x{i}" for i in range(dim)), "error", "in_bounds", "pbest"]
+    write_csv(path, header, (
+        [run_id, repeat, row.move, row.member, *map(format_value, row.point),
+         format_value(row.value), int(row.in_bounds), format_value(row.pbest)]
+        for repeat, result in runs for row in result.trajectory
+    ))
 
 
 def write_trajectory_jsonl(path, runs, run_id=0) -> None:

@@ -113,6 +113,14 @@ def _program(record: dict, where: str) -> Program:
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _fitness(value, where: str) -> float:
+    """``value`` as a fitness; a ValueError that names ``where`` if it is
+    not a JSON number."""
+    if type(value) not in (int, float):
+        raise ValueError(f'{where}: "fitness" is not a JSON number')
+    return float(value)
+
+
 def read_checkpoint(path) -> list:
     """Read (fitness, program text) entries from a JSONL checkpoint file."""
     entries = []
@@ -127,7 +135,7 @@ def read_checkpoint(path) -> list:
             entries.append(
                 PoolEntry(
                     program=_program(record, where),
-                    fitness=float(record["fitness"]),
+                    fitness=_fitness(record["fitness"], where),
                     source=source,
                 )
             )
@@ -179,7 +187,7 @@ def load_pool_manifest(path) -> Pool:
         entries.append(
             PoolEntry(
                 program=_program(record, where),
-                fitness=float(record.get("fitness", 0.0)),
+                fitness=_fitness(record.get("fitness", 0.0), where),
                 source=str(record.get("source", f"{path}:{i}")),
             )
         )

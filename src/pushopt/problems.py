@@ -92,6 +92,8 @@ def make_function(fid: str, dim: int, seed: int, bounds: tuple = None) -> Benchm
         )
     if dim < 1:
         raise ValueError("dimensionality must be >= 1")
+    if seed < 0:
+        raise ValueError("function seed must be >= 0")
     return _BUILDERS[fid](dim, seed, bounds)
 
 
@@ -361,9 +363,12 @@ def problem_family_from_descriptor(raw: dict) -> ProblemFamily:
     for key in ("id", "D"):
         if key not in raw:
             raise ValueError(f"descriptor missing required key: {key}")
+    for key, kind, name in (("id", str, "a string"), ("D", int, "an integer"), ("seed", int, "an integer")):
+        if key in raw and type(raw[key]) is not kind:
+            raise ValueError(f"descriptor {key} must be {name}, not {raw[key]!r}")
     bounds = raw.get("bounds_override")
     function = make_function(
-        raw["id"], int(raw["D"]), int(raw.get("seed", 0)),
+        raw["id"], raw["D"], raw.get("seed", 0),
         bounds=None if bounds is None else _bounds_override(bounds),
     )
     transform = raw.get("transform", "random")
@@ -402,7 +407,10 @@ def _explicit_transform(raw: dict, dim: int) -> Transform:
         raise ValueError(f"transform object needs exactly the keys {', '.join(keys)}")
     axes = {}
     for key in keys:
-        values = np.asarray(raw[key], dtype=float)
+        try:
+            values = np.asarray(raw[key], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"transform {key} must list {dim} numbers, got {raw[key]!r}") from None
         if values.shape != (dim,):
             raise ValueError(f"transform {key} must list {dim} values, got shape {values.shape}")
         if not np.isfinite(values).all():

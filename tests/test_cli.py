@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pushopt.cli import EVOLVE_DEFAULTS, CliError, main, resolve_params
+from pushopt.cli import COMMANDS, EVOLVE_DEFAULTS, FLAGS, CliError, main, resolve_params
 from pushopt.problems import BenchmarkFunction, problem_family_from_descriptor, register_function
 
 from conftest import EVOLVED_OPTIMISERS
@@ -386,8 +386,9 @@ def test_run_with_problem_descriptor(tmp_path):
         {"translation": [1.0], "scale": [2.0], "flip": [1.0]},
         {"translation": [0.0] * 3, "scale": [0.0, 1.0, 1.0], "flip": [1.0] * 3},
         {"translation": [0.0] * 3, "scale": [1.0] * 3, "flip": [1.0, 5.0, 1.0]},
+        {"translation": {}, "scale": [1.0] * 3, "flip": [1.0] * 3},
     ],
-    ids=["lists-shorter-than-D", "zero-scale", "flip-5"],
+    ids=["lists-shorter-than-D", "zero-scale", "flip-5", "translation-object"],
 )
 def test_run_with_bad_explicit_transform_fails_cleanly(tmp_path, capsys, transform):
     descriptor = write_json(tmp_path / "problem.json", {"id": "F1", "D": 3, "transform": transform})
@@ -727,8 +728,9 @@ def test_replay_produces_identical_csvs(tmp_path):
         ("replay", {"command": "run", "params": ["(exec.noop)"]}),
         ("evolve", ["F1", 2]),
         ("evolve", {"function": "F1", "D": 2, "rates": 5}),
+        ("replay", {"command": ["run"], "params": {}}),
     ],
-    ids=["unknown-command", "no-command", "no-params", "params-list", "config-list", "rates-number"],
+    ids=["unknown-command", "no-command", "no-params", "params-list", "config-list", "rates-number", "command-list"],
 )
 def test_bad_manifest_or_config_fails_cleanly(tmp_path, capsys, command, payload):
     path = write_json(tmp_path / "input.json", payload)
@@ -872,11 +874,15 @@ def _bad_checkpoint_line(tmp_path, payload):
         (_bad_pool_entry, {"programs": [{"program": 5}]}, 'pool.json entry 0: "program" is not a JSON string'),
         (_bad_checkpoint_line, {"fitness": 1.0, "program": "(float.abs no.such)"},
          "run.jsonl:2: unknown instruction: no.such"),
+        (_bad_checkpoint_line, {"fitness": None, "program": "(0.0 vector.wrand)"},
+         'run.jsonl:2: "fitness" is not a JSON number'),
+        (_bad_pool_entry, {"programs": [{"program": "(0.0 vector.wrand)", "fitness": "0.5"}]},
+         'pool.json entry 0: "fitness" is not a JSON number'),
     ],
     ids=[
         "pool-without-programs", "pool-list", "programs-not-list", "pool-entry-without-program",
         "checkpoint-without-program", "pool-entry-unparseable", "pool-entry-not-text",
-        "checkpoint-unparseable",
+        "checkpoint-unparseable", "checkpoint-fitness-null", "pool-entry-fitness-text",
     ],
 )
 def test_malformed_pool_or_checkpoint_fails_cleanly(tmp_path, capsys, build, payload, message):
@@ -900,6 +906,10 @@ def _malformed_checkpoints(tmp_path):
     bad.mkdir()
     (bad / "gen_0000.jsonl").write_text('{"fitness": 1.0}\n')
     return _write_checkpoints(tmp_path / "good"), bad
+
+
+def _run_on_descriptor(tmp_path, raw):
+    return ["run", "--program", ORIGIN, "--problem", write_json(tmp_path / "problem.json", raw)]
 
 
 def _evolve_with(tmp_path, **config):
@@ -983,10 +993,33 @@ BAD_INPUTS = {
         lambda d: ["analyze", "simplify", "--program", ORIGIN, "--function", "F1", "--repeats", "0"],
         "repeats must be >= 1"),
     "evolve-repeats-0": (lambda d: _evolve_with(d, repeats=0), "repeats must be >= 1"),
-    "evolve-jobs-null": (lambda d: _evolve_with(d, jobs=None), "evolve: int() argument"),
-    "evolve-pop-null": (lambda d: _evolve_with(d, pop=None), "evolve: int() argument"),
+    "evolve-jobs-null": (lambda d: _evolve_with(d, jobs=None), "evolve: jobs must be an integer, not null"),
+    "evolve-pop-null": (lambda d: _evolve_with(d, pop=None), "evolve: pop must be an integer, not null"),
     "evolve-flip-prob-null": (
-        lambda d: _evolve_with(d, transform_ranges={"flip_prob": None}), "evolve: float() argument"),
+        lambda d: _evolve_with(d, transform_ranges={"flip_prob": None}),
+        "evolve: transform_ranges.flip_prob must be a number, not null"),
+    "evolve-translate-frac-huge": (
+        lambda d: _evolve_with(d, transform_ranges={"translate_frac": 10**400}),
+        "evolve: transform_ranges.translate_frac must be a number, not 1000"),
+    "evolve-pop-4.7": (lambda d: _evolve_with(d, pop=4.7), "evolve: pop must be an integer, not 4.7"),
+    "evolve-instructions-string": (
+        lambda d: _evolve_with(d, instructions="float.abs"),
+        'evolve: instructions must be a list of strings, not "float.abs"'),
+    "run-seed-neg": (lambda d: ["run", "--program", ORIGIN, "--function", "F1", "--seed", "-1"], "seed must be >= 0"),
+    "reevaluate-seed-neg": (
+        lambda d: ["analyze", "reevaluate", "--programs", ORIGIN, "--functions", "F1", "--seed", "-5"],
+        "seed must be >= 0"),
+    "evolve-seed-neg": (lambda d: _evolve_with(d, seed=-2), "seed must be >= 0"),
+    "run-descriptor-list": (lambda d: _run_on_descriptor(d, ["F1", 2]), "problem.json must hold a JSON object"),
+    "run-descriptor-dim-2.5": (
+        lambda d: _run_on_descriptor(d, {"id": "F1", "D": 2.5}), "descriptor D must be an integer, not 2.5"),
+    "run-descriptor-seed-null": (
+        lambda d: _run_on_descriptor(d, {"id": "F1", "D": 2, "seed": None}), "descriptor seed must be an integer"),
+    "run-descriptor-seed-neg": (
+        lambda d: _run_on_descriptor(d, {"id": "F1", "D": 2, "seed": -1}), "function seed must be >= 0"),
+    "run-problem-seed-neg": (
+        lambda d: ["run", "--program", ORIGIN, "--function", "F1", "--problem-seed", "-1"],
+        "function seed must be >= 0"),
 }
 
 
@@ -1022,12 +1055,13 @@ def test_replayed_unknown_mode_fails_before_out_is_made(tmp_path, capsys, comman
 @pytest.mark.parametrize(
     "command, params, message",
     [
-        ("run", {"program": [1], "function": "F1"}, "run: a program is a path or program text, not list"),
-        ("run", {"program": ORIGIN, "function": "F1", "trajectory": [1]}, "run: expected str"),
+        ("run", {"program": [1], "function": "F1"}, "run: program must be a string, not [1]"),
+        ("run", {"program": ORIGIN, "function": "F1", "trajectory": [1]},
+         "run: trajectory must be a string, not [1]"),
         ("analyze-reevaluate", {"programs": [ORIGIN, 5], "functions": ["F1"]},
-         "analyze-reevaluate: a program is a path or program text, not int"),
+         'analyze-reevaluate: programs must be a list of strings, not ["(0.0 vector.wrand)", 5]'),
         ("analyze-simplify", {"program": ORIGIN, "function": "F1", "tolerance": None},
-         "analyze-simplify: float() argument"),
+         "analyze-simplify: tolerance must be a number, not null"),
         ("run", {"program": ORIGIN, "function": "F1", "transforms": "randon"},
          "transforms must be one of random, identity, not 'randon'"),
     ],
@@ -1043,6 +1077,77 @@ def test_replayed_value_of_wrong_type_fails_before_out_is_made(tmp_path, capsys,
     assert run_cli("replay", "--manifest", write_json(tmp_path / "manifest.json", payload), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# The wrong values for a key of each JSON type. An int key refuses a
+# fraction and a boolean, a float key a boolean and a numeric string.
+WRONG_VALUES = {int: [2.5, True], float: [True, "1"], str: [5], list: ["F1"], dict: [5]}
+# Elements of the wrong type, for a list of strings and a list of numbers.
+WRONG_ELEMENTS = {str: [5], float: ["1"]}
+# The one key that has neither a default nor a flag: an instruction list.
+UNFLAGGED = {"instructions": list}
+
+
+def _wrong_values(key, default):
+    """(name, value) pairs of the wrong JSON type for ``key``: not the type
+    of ``default`` or, where that is null, of the key's flag. The name of a
+    key inside an object is dotted."""
+    if default is None and key not in FLAGS:
+        kind, element = UNFLAGGED[key], str
+    elif default is None:
+        settings = FLAGS[key][1]
+        kind, element = list if "nargs" in settings else settings.get("type", str), str
+    else:
+        kind = type(default)
+        element = type(default[0]) if kind is list and default else str
+        yield key, None
+    yield from ((key, value) for value in WRONG_VALUES[kind])
+    if kind is list:
+        yield from ((key, [value]) for value in WRONG_ELEMENTS[element])
+    if kind is dict:
+        for sub, sub_default in default.items():
+            yield from ((f"{key}.{name}", value) for name, value in _wrong_values(sub, sub_default))
+
+
+def _tag(value):
+    if type(value) is list:
+        return f"list-of-{_tag(value[0])}"
+    return f"text-{value}" if type(value) is str else json.dumps(value)
+
+
+def _wrong_type_cases():
+    for command, (defaults, _) in COMMANDS.items():
+        for key, default in defaults.items():
+            for name, value in _wrong_values(key, default):
+                outer, _, inner = name.partition(".")
+                params = {outer: {inner: value} if inner else value}
+                yield pytest.param("replay", command, params, name, id=f"{command}-{name}-{_tag(value)}")
+    # Values that a cast would truncate, or that a loop would read letter by
+    # letter, without a word: in a replayed manifest or an evolve config.
+    examples = [
+        ("replay", "run", {"D": 2.5, "swarm": 1.9}, "D"),
+        ("config", "evolve", {"moves": True}, "moves"),
+        ("config", "evolve", {"pop": 4.7}, "pop"),
+        ("config", "evolve", {"instructions": "float.abs"}, "instructions"),
+        ("replay", "analyze-reevaluate", {"functions": "F1"}, "functions"),
+    ]
+    for via, command, params, key in examples:
+        yield pytest.param(via, command, params, key, id=f"example-{via}-{command}-{key}")
+
+
+@pytest.mark.parametrize("via, command, params, key", list(_wrong_type_cases()))
+def test_value_of_wrong_type_fails_before_out_is_made(tmp_path, capsys, via, command, params, key):
+    out = tmp_path / "out"
+    if via == "config":
+        config = write_json(tmp_path / "config.json", {"function": "F1", "D": 2, **params})
+        code = run_cli(command, "--config", config, "--out", str(out))
+    else:
+        manifest = write_json(tmp_path / "manifest.json", {"command": command, "params": params})
+        code = run_cli("replay", "--manifest", manifest, "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: {key} must be ") and err.count("\n") == 1
     assert not out.exists()
 
 
