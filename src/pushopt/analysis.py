@@ -10,7 +10,7 @@ from .harness import RunConfig, fitness, format_value, init_swarm, run_optimisat
 from .hybrid import Pool, run_hybrid
 from .parallel import worker_pool
 from .problems import Problem, ProblemFamily
-from .push import Program, instruction_errstate
+from .push import Program, counting, instruction_errstate
 from .rng import derive_seed, stream
 
 
@@ -58,12 +58,11 @@ def dynamic_instruction_usage(
     once per family instance under ``config``."""
     _check_usage_args(programs, top)
     counts = {}
-    with instruction_errstate():
+    with instruction_errstate(), counting(counts):
         for i, program in enumerate(programs):
             problem = family.instance(stream(config.seed, "usage", i))
-            swarm = init_swarm(program, problem, config)
-            for member in swarm.members:
-                member.state.usage = counts
+            # A copy, so that no plan resolved before counting began runs.
+            swarm = init_swarm(Program(program.items), problem, config)
             for move in range(1, config.moves + 1):
                 step_swarm(swarm, problem, move)
     return _usage_rows(counts, top)

@@ -4,6 +4,7 @@ each iteration while keeping its own stack state across program switches."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .harness import RunConfig, RunResult, run_with_source
@@ -115,9 +116,12 @@ def _program(record: dict, where: str) -> Program:
 
 def _fitness(value, where: str) -> float:
     """``value`` as a fitness; a ValueError that names ``where`` if it is
-    not a JSON number."""
+    not a JSON number or is NaN, which ``build_pool``'s order cannot place
+    (``json`` reads ``NaN``; ``Infinity`` sorts last and is kept)."""
     if type(value) not in (int, float):
         raise ValueError(f'{where}: "fitness" is not a JSON number')
+    if math.isnan(value):
+        raise ValueError(f'{where}: "fitness" is NaN')
     return float(value)
 
 
@@ -184,11 +188,14 @@ def load_pool_manifest(path) -> Pool:
     for i, record in enumerate(records):
         where = f"pool manifest {path} entry {i}"
         record = _record(record, where, ("program",))
+        source = record.get("source", f"{path}:{i}")
+        if not isinstance(source, str):
+            raise ValueError(f'{where}: "source" is not a JSON string')
         entries.append(
             PoolEntry(
                 program=_program(record, where),
                 fitness=_fitness(record.get("fitness", 0.0), where),
-                source=str(record.get("source", f"{path}:{i}")),
+                source=source,
             )
         )
     return Pool(tuple(entries))

@@ -1,6 +1,6 @@
 """A typed stack-program interpreter with a search-point vector extension."""
 
-from .interpreter import instruction_errstate, run_move
+from .interpreter import counting, instruction_errstate, run_move
 from .ops import (
     DEFAULT_INSTRUCTION_SET,
     ERC_MARKERS,
@@ -31,6 +31,7 @@ __all__ = [
     "Program",
     "ProgramError",
     "SwarmContext",
+    "counting",
     "default_instruction_set",
     "instruction_errstate",
     "load_program",

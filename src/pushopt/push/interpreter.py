@@ -5,14 +5,15 @@ A tuple on the exec stack is a group: a continuation that a loop instruction
 built. Executing it unpacks its items so they run in list order. Programs
 hold only registered names and literals (``Program`` refuses anything
 else), so groups exist only at runtime and every name the loop meets has a
-function, which never raises (see ``ops``). While usage is not counted, a
-loop whose body cannot see the exec stack runs its iterations inside the
-loop instruction and builds a group only when it stops early (see
-``ops._do_range``).
+function, which never raises (see ``ops``). A loop whose body cannot see
+the exec stack runs its iterations inside the loop instruction and builds a
+group only when it stops early (see ``ops._exec_do_range``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from functools import partial
 from types import FunctionType
 
 import numpy as np
@@ -50,7 +51,6 @@ def _run_exec(state: InterpreterState) -> None:
     push_boolean = state.booleans.append
     push_integer = state.integers.append
     push_float = state.floats.append
-    usage = state.usage
     limit = state.step_limit
     steps = state.steps_used
     while ex and steps < limit:
@@ -61,8 +61,6 @@ def _run_exec(state: InterpreterState) -> None:
             state.steps_used = steps
             registry[item](state)
             steps = state.steps_used
-            if usage is not None:
-                usage[item] = usage.get(item, 0) + 1
         elif kind is float:
             push_float(item)
         elif kind is int:
@@ -72,6 +70,31 @@ def _run_exec(state: InterpreterState) -> None:
         else:
             ex.extend(reversed(item))
     state.steps_used = steps
+
+
+def _counted(counts, name, fn, state):
+    result = fn(state)
+    counts[name] = counts.get(name, 0) + 1
+    return result
+
+
+@contextmanager
+def counting(counts: dict):
+    """Count into ``counts``, by name, each instruction executed inside the
+    block.
+
+    Every name is registered, in place, to a counting wrapper that is not a
+    plain function, so every shortcut past the exec loop declines it. A
+    plan resolved before the block keeps its functions: build the programs
+    to count inside it. The registry is the process's, so everything run
+    inside the block, in any thread, is counted."""
+    saved = dict(REGISTRY)
+    try:
+        for name, fn in saved.items():
+            REGISTRY[name] = partial(_counted, counts, name, fn)
+        yield counts
+    finally:
+        REGISTRY.update(saved)
 
 
 def instruction_errstate():
@@ -100,9 +123,9 @@ def resolve_plan(items) -> tuple:
     stands for itself. The plan stops before the first item that needs the
     exec stack to run exactly: an instruction registered with
     ``touches_exec`` or a group nested in a body. It also stops at a name
-    registered to anything but a plain function, so that every other step
-    is a literal. A plan keeps the functions registered when it was
-    resolved.
+    registered to anything but a plain function, such as the wrappers of
+    ``counting``, so that every other step is a literal. A plan keeps the
+    functions registered when it was resolved.
     """
     plan = []
     for item in items:
@@ -144,16 +167,14 @@ def run_move(state: InterpreterState, program) -> InterpreterState:
     persist between moves. The caller enters ``instruction_errstate``, as
     ``run_with_source`` does once around all of its moves.
 
-    While ``state.usage`` is None, the items of ``program.plan`` run first,
-    in program order and without the exec stack, which none of them can
-    see; the remaining items are then loaded onto the exec stack for the
-    general loop. Step counts and leftover exec items are those of running
-    every item through the loop, also when the limit cuts the plan short. A
-    ``usage`` dict is counted by the general loop alone, so with one every
-    item runs through it.
+    The items of ``program.plan`` run first, in program order and without
+    the exec stack, which none of them can see; the remaining items are
+    then loaded onto the exec stack for the general loop. Step counts and
+    leftover exec items are those of running every item through the loop,
+    also when the limit cuts the plan short.
     """
     items = program.items
-    plan = program.plan[: state.step_limit] if state.usage is None else ()
+    plan = program.plan[: state.step_limit]
     state.exec.clear()
     run_steps(state, plan)
     ran = len(plan)

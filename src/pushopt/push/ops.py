@@ -476,20 +476,27 @@ def _body_plan(body):
     return plan if len(plan) == len(items) else None
 
 
-def _do_range(state, current, dest, body):
-    # One entry of exec.do*range at index ``current``. Through the exec
-    # stack an iteration is the body, the unpack of the continuation group,
-    # its two integer literals and the re-entry. A plain body cannot see the
-    # exec stack, so while usage is not counted and a whole iteration fits
-    # in the step limit it runs here with the same steps and stacks;
-    # otherwise the continuation group and the body go on the exec stack,
-    # where the loop counts their usage.
+@instruction("exec.do*range", touches_exec=True)
+def _exec_do_range(state):
+    # Top integer is the destination index, second the current index. The
+    # body (next exec item) runs once per index with the index pushed to the
+    # integer stack. Re-entry is a continuation group on the exec stack, so
+    # an iteration is the body, the group's unpack, its two integer literals
+    # and the re-entry. A plain body cannot see the exec stack, so while a
+    # whole iteration fits in the step limit it runs here with the same
+    # steps and stacks, standing for a re-entry into this function; hence
+    # only while this function is registered (``counting`` must see each
+    # re-entry, also of a literal-only body).
     ints = state.integers
     ex = state.exec
-    ints.append(current)
+    if len(ints) < 2 or not ex:
+        return False
+    dest = ints.pop()
+    current = ints[-1]
+    body = ex.pop()
     if current != dest:
         step = 1 if dest > current else -1
-        plan = _body_plan(body) if state.usage is None else None
+        plan = _body_plan(body) if REGISTRY["exec.do*range"] is _exec_do_range else None
         if plan is not None:
             cost = len(plan) + 4 + (1 if type(body) is tuple else 0)
             steps = state.steps_used
@@ -510,36 +517,13 @@ def _do_range(state, current, dest, body):
     return True
 
 
-def _enter_loop(state, n, body):
-    # exec.do*count and exec.do*times: while usage is not counted, the loop
-    # group's unpack, its two literals and the first re-entry run at once
-    # when those 4 steps fit.
-    if state.usage is not None or state.steps_used + 4 > state.step_limit:
-        state.exec.append((0, n - 1, "exec.do*range", body))
-        return True
-    state.steps_used += 4
-    return _do_range(state, 0, n - 1, body)
-
-
-@instruction("exec.do*range", touches_exec=True)
-def _exec_do_range(state):
-    # Top integer is the destination index, second the current index. The
-    # body (next exec item) runs once per index with the index pushed to the
-    # integer stack; re-entry is a grouped continuation on the exec stack,
-    # or an iteration run in place that is charged the same (_do_range).
-    if len(state.integers) < 2 or not state.exec:
-        return False
-    dest = state.integers.pop()
-    current = state.integers.pop()
-    return _do_range(state, current, dest, state.exec.pop())
-
-
 @instruction("exec.do*count", touches_exec=True)
 def _exec_do_count(state):
     ints = state.integers
     if not ints or not state.exec or ints[-1] <= 0:
         return False
-    return _enter_loop(state, ints.pop(), state.exec.pop())
+    state.exec.append((0, ints.pop() - 1, "exec.do*range", state.exec.pop()))
+    return True
 
 
 @instruction("exec.do*times", touches_exec=True)
@@ -548,7 +532,8 @@ def _exec_do_times(state):
     if not ints or not state.exec or ints[-1] <= 0:
         return False
     hidden = ("integer.pop", state.exec.pop())
-    return _enter_loop(state, ints.pop(), hidden)
+    state.exec.append((0, ints.pop() - 1, "exec.do*range", hidden))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -778,11 +763,11 @@ def _vector_map(name, arity):
     # stack empty or never runs because the step limit was reached.
     #
     # Each body run is that of ``[body]`` on a private exec stack, on the
-    # move's shared step budget. While usage is not counted, a body naming
-    # a plain function runs as one step without the loop; one flagged
-    # ``touches_exec`` sees the empty private stack, and what it leaves
-    # there runs through the loop. Other bodies, and every body while usage
-    # is counted, run through the loop, which alone counts usage. A run
+    # move's shared step budget. A body naming a plain function runs as one
+    # step without the loop; one flagged ``touches_exec`` sees the empty
+    # private stack, and what it leaves there runs through the loop. Other
+    # bodies, names registered to anything but a plain function among them
+    # (such as the wrappers of ``counting``), run through the loop. A run
     # ends with the private stack empty or the step limit reached, so every
     # run starts on an empty one.
     @instruction(name, touches_exec=True)
@@ -793,7 +778,7 @@ def _vector_map(name, arity):
         body = state.exec.pop()
         operands = vs[-arity:]
         del vs[-arity:]
-        fn = REGISTRY[body] if type(body) is str and state.usage is None else None
+        fn = REGISTRY[body] if type(body) is str else None
         direct = type(fn) is FunctionType
         floats = state.floats
         saved = state.exec

@@ -32,11 +32,13 @@ class SwarmContext:
         return int(index) % self.size
 
 
-@dataclass
+@dataclass(slots=True)
 class InterpreterState:
     """The six stacks of one interpreter plus its RNG, step accounting and
-    run settings: ``step_limit``, the swarm ``ctx`` that ``vector.current``
-    and ``vector.best`` read, and an optional instruction ``usage`` count.
+    run settings: ``step_limit`` and the swarm ``ctx`` that
+    ``vector.current`` and ``vector.best`` read. Slots refuse any other
+    attribute. Instruction counts are taken around a run
+    (``interpreter.counting``), not on the state.
 
     A state is single-owner: it is never shared between interpreters. The
     input stack is fixed at seeding time and never modified by execution.
@@ -54,7 +56,6 @@ class InterpreterState:
     inputs: tuple = ()
     steps_used: int = 0
     step_limit: int = DEFAULT_EXECUTION_LIMIT
-    usage: dict = None
     ctx: SwarmContext = None
 
     def __post_init__(self):

@@ -125,7 +125,6 @@ def test_criterion_1_interpreter_conformance():
                 refill(st)
             st.steps_used = 0
             st.step_limit = 100
-            st.usage = None
             name = names[int(rng.integers(len(names)))]
             before = _snap(st)
             applied = REGISTRY[name](st)

@@ -73,6 +73,19 @@ def test_dynamic_usage_counts_executions():
     assert counts["exec.do*times"] == 5
 
 
+def test_dynamic_usage_counts_a_program_whose_plan_was_resolved():
+    # A plan resolved outside counting holds the functions themselves,
+    # which count nothing; the program is counted as a fresh copy is.
+    family = ProblemFamily(make_function("STUB-7", 2, 0), Transform.identity(2))
+    config = RunConfig(swarm_size=2, moves=5, seed=3)
+    text = "(float.abs 0.5 vector.wrand vector.+)"
+    resolved = parse_program(text)
+    assert len(resolved.plan) == len(resolved)
+    rows = dynamic_instruction_usage([resolved], family, config)
+    assert rows == dynamic_instruction_usage([parse_program(text)], family, config)
+    assert {r.instruction: r.count for r in rows} == {"float.abs": 10, "vector.wrand": 10, "vector.+": 10}
+
+
 def test_usage_csv(tmp_path):
     rows = instruction_usage([parse_program("(float.sin float.cos float.sin)")])
     path = tmp_path / "usage.csv"

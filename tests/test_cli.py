@@ -878,11 +878,18 @@ def _bad_checkpoint_line(tmp_path, payload):
          'run.jsonl:2: "fitness" is not a JSON number'),
         (_bad_pool_entry, {"programs": [{"program": "(0.0 vector.wrand)", "fitness": "0.5"}]},
          'pool.json entry 0: "fitness" is not a JSON number'),
+        (_bad_pool, {"programs": [{"program": "(0.0 vector.wrand)", "source": [1]}]},
+         'pool.json entry 0: "source" is not a JSON string'),
+        (_bad_checkpoint_line, {"fitness": float("nan"), "program": "(0.0 vector.wrand)"},
+         'run.jsonl:2: "fitness" is NaN'),
+        (_bad_pool, {"programs": [{"program": "(0.0 vector.wrand)", "fitness": float("nan")}]},
+         'pool.json entry 0: "fitness" is NaN'),
     ],
     ids=[
         "pool-without-programs", "pool-list", "programs-not-list", "pool-entry-without-program",
         "checkpoint-without-program", "pool-entry-unparseable", "pool-entry-not-text",
         "checkpoint-unparseable", "checkpoint-fitness-null", "pool-entry-fitness-text",
+        "pool-entry-source-not-text", "checkpoint-fitness-nan", "pool-entry-fitness-nan",
     ],
 )
 def test_malformed_pool_or_checkpoint_fails_cleanly(tmp_path, capsys, build, payload, message):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -132,6 +133,23 @@ def test_build_pool_ordering_is_deterministic(tmp_path):
     a = build_pool([path])
     b = build_pool([path])
     assert [e.source for e in a.entries] == [e.source for e in b.entries]
+
+
+def _checkpoint(path, fitnesses):
+    with open(path, "w") as fh:
+        for fitness in fitnesses:
+            fh.write(json.dumps({"fitness": fitness, "program": "(exec.noop)"}) + "\n")
+    return path
+
+
+def test_build_pool_refuses_nan_and_keeps_infinity(tmp_path):
+    # NaN has no place in the (fitness, source) order: sorted among 1.0 and
+    # 0.5 it would keep [1.0, NaN] or [0.5, NaN] as the top two, by line order.
+    for fitnesses in ([1.0, math.nan, 0.5], [0.5, math.nan, 1.0]):
+        with pytest.raises(ValueError, match='ck.jsonl:2: "fitness" is NaN'):
+            build_pool([_checkpoint(tmp_path / "ck.jsonl", fitnesses)], top_n=2)
+    pool = build_pool([_checkpoint(tmp_path / "ck.jsonl", [math.inf, 1.0, 0.5])], top_n=2)
+    assert [e.fitness for e in pool.entries] == [0.5, 1.0]
 
 
 def test_build_pool_empty_selection_is_error(tmp_path):

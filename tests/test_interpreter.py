@@ -1,8 +1,10 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 import pushopt.push
-from pushopt.push import Program, instruction_errstate, parse_program, run_move
+from pushopt.push import REGISTRY, Program, counting, instruction_errstate, parse_program, run_move
 
 from conftest import fresh_state
 
@@ -57,22 +59,23 @@ def test_exec_stack_reloaded_each_move():
 def test_loop_halts_exactly_at_limit():
     # A 500-iteration loop under a limit of 100 counts exactly 100
     # executions, then halts; unbounded execution works through all 500
-    # iterations (oracle: body execution count via the usage tally, in a
-    # run that counts usage and so re-enters through the exec stack).
-    program = parse_program("(500 exec.do*times float.rand)")
-    for usage in (None, {}):
-        st = fresh_state(seed=1, step_limit=100, usage=usage)
-        run_move(st, program)
+    # iterations (oracle: body execution count via a run that counts
+    # instructions and so re-enters through the exec stack).
+    text = "(500 exec.do*times float.rand)"
+    for context in (nullcontext(), counting({})):
+        with context:
+            st = fresh_state(seed=1, step_limit=100)
+            run_move(st, parse_program(text))
         assert st.steps_used == 100
         assert len(st.floats) < 500
 
     unbounded = fresh_state(seed=1, step_limit=10_000_000)
-    run_move(unbounded, program)
+    run_move(unbounded, parse_program(text))
     assert len(unbounded.floats) == 500
     assert unbounded.steps_used > 100
-    usage = {}
-    counted = fresh_state(seed=1, step_limit=10_000_000, usage=usage)
-    run_move(counted, program)
+    with counting({}) as usage:
+        counted = fresh_state(seed=1, step_limit=10_000_000)
+        run_move(counted, parse_program(text))
     assert usage["float.rand"] == 500
     assert counted.floats == unbounded.floats
     assert counted.steps_used == unbounded.steps_used
@@ -110,10 +113,24 @@ def test_state_needs_an_rng():
 
 
 def test_usage_tally_counts_instructions_not_literals():
-    usage = {}
-    st = fresh_state(usage=usage)
-    run_move(st, parse_program("(1 2 integer.+ integer.dup)"))
+    with counting({}) as usage:
+        run_move(fresh_state(), parse_program("(1 2 integer.+ integer.dup)"))
     assert usage == {"integer.+": 1, "integer.dup": 1}
+
+
+def test_counting_puts_the_registry_back():
+    # The same names, in the same order, for the same functions (functions
+    # compare by identity): after a normal exit and after an error inside
+    # the block.
+    before = list(REGISTRY.items())
+    with counting({}):
+        assert list(REGISTRY) == [name for name, _ in before]
+        assert all(REGISTRY[name] is not fn for name, fn in before)
+    assert list(REGISTRY.items()) == before
+    with pytest.raises(RuntimeError):
+        with counting({}):
+            raise RuntimeError
+    assert list(REGISTRY.items()) == before
 
 
 def test_run_move_returns_state():

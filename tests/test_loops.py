@@ -1,11 +1,11 @@
-"""Counted loops: ``exec.do*range``, ``exec.do*count`` and ``exec.do*times``
-run the iterations of a body that cannot see the exec stack inside the
-instruction while usage is not counted, and must leave exactly what re-entry
-through a group (a tuple continuation) on the exec stack leaves. While usage
-is counted they re-enter, and count it as the reference does."""
+"""Counted loops: ``exec.do*range`` runs the iterations of a body that
+cannot see the exec stack inside the instruction, and must leave exactly
+what re-entry through a group (a tuple continuation) on the exec stack
+leaves. Under ``counting`` every loop re-enters, and instructions are
+counted as the reference counts them."""
 
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from pushopt.push import (
     InterpreterState,
     Program,
     SwarmContext,
+    counting,
     instruction_errstate,
     run_move,
 )
@@ -78,13 +79,15 @@ def _errstate():
 
 
 @contextmanager
-def _loops(reference):
-    """The live loop instructions, or the reference ones in their place."""
+def _loops(reference, counts):
+    """The live loop instructions, or the reference ones in their place,
+    counting instructions into ``counts`` unless it is None."""
     with pytest.MonkeyPatch.context() as m:
         if reference:
             for name, fn in REFERENCE.items():
                 m.setitem(REGISTRY, name, fn)
-        yield
+        with nullcontext() if counts is None else counting(counts):
+            yield
 
 
 def _bits(value):
@@ -99,21 +102,22 @@ def _bits(value):
 
 
 def _outcome(state):
-    # Everything a move leaves but usage counts: stacks by bits, leftover
-    # exec items, steps and the RNG state.
+    # Everything a move leaves: stacks by bits, leftover exec items, steps
+    # and the RNG state.
     stacks = [[_bits(v) for v in stack] for stack in state.stack_snapshot()]
     return stacks, state.steps_used, state.rng.bit_generator.state
 
 
 # (counting, reference) of the three runs compared: the live instructions
 # without counting, which take the in-place paths, the live instructions
-# while usage is counted, and the reference ones.
+# under counting, and the reference ones.
 RUNS = ((False, False), (True, False), (True, True))
 
 
 def _assert_same(outcomes, counts, where):
-    # Every run leaves what the reference leaves, and usage is counted as
-    # the reference counts it, in the order each name was first counted.
+    # Every run leaves what the reference leaves, and instructions are
+    # counted as the reference counts them, in the order each name was first
+    # counted.
     live, counted, reference = outcomes
     assert live == reference, where
     assert counted == reference, where
@@ -135,15 +139,14 @@ def assert_same_moves(items, dim, limit, seed, moves=6):
     points = [rng.uniform(-5.0, 5.0, dim) for _ in range(3)]
     ctx = SwarmContext(points, points[::-1], 1)
     states = [_new_state(dim, seed, points, step_limit=limit, ctx=ctx) for _ in RUNS]
-    # Separate programs, so that none reuses a plan resolved for another.
-    programs = [Program(tuple(items)) for _ in RUNS]
     for move in range(1, moves + 1):
         outcomes, counts = [], []
-        for state, program, (counting, swap) in zip(states, programs, RUNS):
+        for state, (counted, swap) in zip(states, RUNS):
             state.integers.extend([move, 3, 0])
-            state.usage = usage = {} if counting else None
-            with _loops(swap):
-                run_move(state, program)
+            usage = {} if counted else None
+            with _loops(swap, usage):
+                # Built inside the block, so that its plan resolves there.
+                run_move(state, Program(tuple(items)))
             outcomes.append(_outcome(state))
             counts.append(usage)
         _assert_same(outcomes, counts, f"move {move}")
@@ -228,14 +231,14 @@ def test_group_bodies_run_as_with_re_entry(kind):
 
 def _assert_same_stack_run(items, dim, limit):
     outcomes, counts = [], []
-    for counting, swap in RUNS:
+    for counted, swap in RUNS:
         state = InterpreterState(dim=dim, rng=np.random.default_rng(dim))
         state.vectors.append(np.linspace(-1.0, 1.0, dim))
         state.floats.append(0.5)
         state.exec.extend(reversed(items))
         state.step_limit = limit
-        state.usage = usage = {"float.abs": 1} if counting else None
-        with _loops(swap):
+        usage = {"float.abs": 1} if counted else None
+        with _loops(swap, usage):
             _run_exec(state)
         outcomes.append(_outcome(state))
         counts.append(usage)
@@ -247,8 +250,9 @@ def test_iterations_in_place_are_charged_as_re_entries():
     # its two literals and the last body: run in place without counting,
     # through the exec stack with it.
     for usage in (None, {}):
-        state = InterpreterState(dim=1, rng=np.random.default_rng(0), step_limit=100, usage=usage)
-        run_move(state, Program((1, 5, "exec.do*range", "float.abs")))
+        with _loops(False, usage):
+            state = InterpreterState(dim=1, rng=np.random.default_rng(0), step_limit=100)
+            run_move(state, Program((1, 5, "exec.do*range", "float.abs")))
         assert state.steps_used == 3 + 4 * 5 + 1
         assert state.integers == [1, 2, 3, 4, 5]
     assert usage == {"exec.do*range": 5, "float.abs": 5}
@@ -259,3 +263,14 @@ def test_iterations_in_place_are_charged_as_re_entries():
     assert state.steps_used == 17
     assert state.integers == [1, 2, 3, 4, 5]
     assert state.exec == ["float.abs", "exec.do*range"]
+
+
+def test_counting_re_enters_loops_over_literal_bodies():
+    # A literal-only body is plain under counting too, but each of its
+    # iterations is a re-entry that counting must see.
+    with counting({}) as usage:
+        state = InterpreterState(dim=1, rng=np.random.default_rng(0))
+        run_move(state, Program((1, 5, "exec.do*range", 2.5)))
+    assert usage == {"exec.do*range": 5}
+    assert state.floats == [2.5] * 5
+    assert state.steps_used == 3 + 4 * 5 + 1

@@ -1,10 +1,12 @@
-"""Execution plans: while usage is not counted, ``run_move`` runs a
-program's straight-line prefix without the exec stack, and must leave
-exactly what the general loop leaves."""
+"""Execution plans: ``run_move`` runs a program's straight-line prefix
+without the exec stack, and must leave exactly what the general loop leaves.
+Under ``counting`` no instruction is a plain function, so every one runs
+through the loop and is counted."""
 
 import hashlib
 import pickle
 import struct
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -23,6 +25,7 @@ from pushopt.push import (
     InterpreterState,
     Program,
     SwarmContext,
+    counting,
     instruction_errstate,
     parse_program,
     run_move,
@@ -75,7 +78,8 @@ def assert_same_moves(program, dim, limit, seed, moves=8):
     """Run ``program`` move by move on three identical states, with
     harness-like feedback between moves, and compare everything after every
     move: ``run_move`` without counting, which runs the plan, ``run_move``
-    while usage is counted, and the loop alone, counting usage."""
+    under ``counting`` on a copy built inside the block, and the loop alone
+    under ``counting``."""
     rng = np.random.default_rng(seed)
     points = [rng.uniform(-5.0, 5.0, dim) for _ in range(3)]
     ctx = SwarmContext(points, points[::-1], 1)
@@ -92,11 +96,12 @@ def assert_same_moves(program, dim, limit, seed, moves=8):
     for move in range(1, moves + 1):
         for state in states:
             state.integers.extend([move, 1, 0])
-        counted.usage, looped.usage = usage, want_usage = {}, {}
-        loop_move(looped, program)
+        with counting({}) as want_usage:
+            loop_move(looped, program)
         run_move(planned, program)
-        run_move(counted, program)
-        assert usage == want_usage, f"move {move}"
+        with counting({}) as usage:
+            run_move(counted, Program(program.items))
+        assert list(usage.items()) == list(want_usage.items()), f"move {move}"
         assert _snapshot(planned) == _snapshot(looped), f"move {move}"
         assert _snapshot(counted) == _snapshot(looped), f"move {move}"
         for state in states:
@@ -367,9 +372,8 @@ def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
     # is not a plain function and a touches_exec instruction that leaves
     # items on its private exec stack; on full stacks and on bare ones that hold
     # only the operand vectors, under each of MAP_LIMITS. Three runs are
-    # compared: the live map without counting usage, which resolves the
-    # body once, the live map counting usage and the reference map counting
-    # it.
+    # compared: the live map without counting, which resolves the body
+    # once, the live map under ``counting`` and the reference map under it.
     negate = partial(REGISTRY["float.neg"])
     negate.touches_exec = False
     monkeypatch.setitem(REGISTRY, "test.partial", negate)
@@ -378,21 +382,22 @@ def test_single_item_runs_as_in_a_nested_loop(monkeypatch, body):
         for full in (True, False):
             for steps_used, limit in MAP_LIMITS:
                 outcomes, counts = [], []
-                for counting, reference in ((False, False), (True, False), (True, True)):
+                for counted, reference in ((False, False), (True, False), (True, True)):
                     state = _full_state() if full else _bare_state()
                     state.exec.append(body)
                     state.steps_used = steps_used
                     state.step_limit = limit
-                    state.usage = {"float.neg": 1} if counting else None
+                    usage = {"float.neg": 1} if counted else None
                     caller_exec = state.exec
                     with pytest.MonkeyPatch.context() as m:
                         if reference:
                             for map_name, fn in REFERENCE_MAPS.items():
                                 m.setitem(REGISTRY, map_name, fn)
-                        result = REGISTRY[name](state)
+                        with nullcontext() if usage is None else counting(usage):
+                            result = REGISTRY[name](state)
                     assert state.exec is caller_exec
                     outcomes.append((_snapshot(state), result))
-                    counts.append(list(state.usage.items()) if counting else None)
+                    counts.append(list(usage.items()) if counted else None)
                 where = (name, full, steps_used, limit)
                 assert outcomes[0] == outcomes[2], where
                 assert outcomes[1] == outcomes[2], where
