@@ -3,7 +3,9 @@
 One evolved program is run as a local or swarm optimiser: every swarm member
 holds a copy of the program and its own interpreter state, proposes one
 search point per move, and receives feedback (improvement boolean and new
-error) through its stacks. Members see each other's current and best points
+error) through its stacks. A member's random start point is answered as
+move 0, exactly like an improving in-bounds proposal: true and its error,
+one evaluation charged. Members see each other's current and best points
 as they were at the start of each move, through one ``SwarmContext`` per
 run that is brought up to date after every member has moved. The pbest index
 pushed to each member's integer stack is live, not snapshotted: a member that
@@ -149,21 +151,21 @@ def init_swarm(source, problem: Problem, config: RunConfig) -> Swarm:
 
     ``source`` is a program, which every member runs every move, or a
     program source (see ``FixedSource``). Each member starts at a random
-    point within bounds with cleared stacks; its vector stack is seeded with
-    the point, the float stack with its error, the boolean stack with true,
-    and the input stack holds the search bounds. An objective value that is
-    not finite, or a numpy floating-point error raised by the objective,
-    raises ``ValueError``, here and in ``step_swarm``.
+    point within bounds with cleared stacks, the search bounds on its input
+    stack and its start point on its vector stack. The start point is then
+    answered as move 0, exactly like an improving in-bounds proposal: true
+    on the boolean stack and its error on the float stack, one evaluation
+    charged. An objective value that is not finite, or a numpy
+    floating-point error raised by the objective, raises ``ValueError``,
+    here and in ``step_swarm``.
     """
     if isinstance(source, Program):
         source = FixedSource(source)
     lower, upper = problem.bounds
     init_rng = stream(config.seed, "init")
     members = []
-    pbest = math.inf
-    pbestindex = 0
-    pbest_point = None
-    trajectory = [] if config.record_trajectory else None
+    swarm = Swarm(members=members, pbest=math.inf, pbestindex=0, pbest_point=None, evaluations_used=0,
+                  source=source, context=None, trajectory=[] if config.record_trajectory else None)
     for p in range(config.swarm_size):
         state = InterpreterState(
             dim=problem.dim,
@@ -172,30 +174,14 @@ def init_swarm(source, problem: Problem, config: RunConfig) -> Swarm:
             step_limit=config.execution_limit,
         )
         point = init_rng.uniform(lower, upper, problem.dim)
-        value = _evaluate(problem, point)
         state.vectors.append(point)
-        state.floats.append(value)
-        state.booleans.append(True)
-        members.append(SwarmMember(p, state, point, value, point, value, point.tobytes()))
-        if value < pbest:
-            pbest = value
-            pbestindex = p
-            pbest_point = point
-        if trajectory is not None:
-            trajectory.append(TrajectoryRow(0, p, point, value, True, pbest))
-    context = SwarmContext([m.point for m in members], [m.best for m in members])
+        member = SwarmMember(p, state, point, math.inf, point, math.inf, b"")
+        members.append(member)
+        _answer(swarm, member, problem, 0, point, True)
+    swarm.context = SwarmContext([m.point for m in members], [m.best for m in members])
     for member in members:
-        member.state.ctx = context
-    return Swarm(
-        members=members,
-        pbest=pbest,
-        pbestindex=pbestindex,
-        pbest_point=pbest_point,
-        evaluations_used=config.swarm_size,
-        source=source,
-        context=context,
-        trajectory=trajectory,
-    )
+        member.state.ctx = swarm.context
+    return swarm
 
 
 def _in_bounds(point: np.ndarray, lower: float, upper: float) -> bool:
@@ -206,19 +192,60 @@ def _in_bounds(point: np.ndarray, lower: float, upper: float) -> bool:
     return True
 
 
+def _answer(swarm: Swarm, member: SwarmMember, problem: Problem, move: int,
+            proposal: np.ndarray, evaluable: bool) -> None:
+    """Answer one proposal through the member's stacks, then update the
+    bests and the trajectory.
+
+    An evaluable proposal is charged one evaluation and answered with an
+    improvement boolean and its error, plus the member's best point if it
+    did not improve. One with the same bytes as the last point the member
+    evaluated takes that point's value without calling the objective, which
+    must therefore be a deterministic function of the point. Any other
+    proposal costs no evaluation and is answered with false and an
+    infeasible marker value.
+    """
+    state = member.state
+    if evaluable:
+        previous = member.value
+        key = proposal.tobytes()
+        if key == member.evaluated:
+            value = previous
+        else:
+            value = _evaluate(problem, proposal)
+            member.evaluated = key
+        swarm.evaluations_used += 1
+        if value < member.bestval:
+            member.bestval = value
+            member.best = proposal
+        if value < previous:
+            state.booleans.append(True)
+        else:
+            state.booleans.append(False)
+            state.vectors.append(member.best)
+        state.floats.append(value)
+        member.value = value
+        recorded = value
+    else:
+        state.booleans.append(False)
+        state.floats.append(INFEASIBLE)
+        recorded = math.inf
+    if member.bestval < swarm.pbest:
+        swarm.pbest = member.bestval
+        swarm.pbestindex = member.index
+        swarm.pbest_point = member.best
+    if swarm.trajectory is not None:
+        swarm.trajectory.append(TrajectoryRow(move, member.index, proposal, recorded, evaluable, swarm.pbest))
+
+
 def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
     """Run one move (move numbers start at 1) for every member.
 
     The member's integer stack receives the move number, its own index and
     the current pbest index; after execution the proposal is read
-    non-destructively from the top of the vector stack. In-bounds proposals
-    are evaluated (consuming budget) and answered with an improvement
-    boolean and the new error; non-improving members are also reminded of
-    their best point. A proposal with the same bytes as the last point the
-    member evaluated is charged as an evaluation but takes that point's
-    value without calling the objective, which must therefore be a
-    deterministic function of the point. Out-of-bounds proposals cost no
-    evaluation and are answered with false and an infeasible marker value.
+    non-destructively from the top of the vector stack and answered (see
+    ``_answer``): in-bounds proposals are evaluated, consuming budget, and
+    out-of-bounds ones are not.
 
     The caller enters ``instruction_errstate``, as ``run_with_source`` does
     once per run. Correctness, not only quiet, depends on it: vector
@@ -228,7 +255,6 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
     select = swarm.source.select
     ctx = swarm.context
     members = swarm.members
-    trajectory = swarm.trajectory
     for member in members:
         index = member.index
         ctx.self_index = index
@@ -238,7 +264,6 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
         integers.append(move)
         integers.append(index)
         integers.append(swarm.pbestindex)
-        previous = member.value
         run_move(state, program)
         if state.vectors:
             proposal = state.vectors[-1]
@@ -250,37 +275,7 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
             state.vectors.append(member.point)
             proposal = member.point
             evaluable = False
-        if evaluable:
-            key = proposal.tobytes()
-            if key == member.evaluated:
-                value = previous
-            else:
-                value = _evaluate(problem, proposal)
-                member.evaluated = key
-            swarm.evaluations_used += 1
-            if value < member.bestval:
-                member.bestval = value
-                member.best = proposal
-            if value < previous:
-                state.booleans.append(True)
-            else:
-                state.booleans.append(False)
-                state.vectors.append(member.best)
-            state.floats.append(value)
-            member.value = value
-            recorded = value
-        else:
-            state.booleans.append(False)
-            state.floats.append(INFEASIBLE)
-            recorded = math.inf
-        if member.bestval < swarm.pbest:
-            swarm.pbest = member.bestval
-            swarm.pbestindex = index
-            swarm.pbest_point = member.best
-        if trajectory is not None:
-            trajectory.append(
-                TrajectoryRow(move, index, proposal, recorded, evaluable, swarm.pbest)
-            )
+        _answer(swarm, member, problem, move, proposal, evaluable)
     # Later members of this move saw start-of-move points; the next move
     # sees where every member ended this one.
     currents = ctx.currents
@@ -306,7 +301,7 @@ def run_with_source(source, problem: Problem, config: RunConfig) -> RunResult:
 
 def run_optimisation(program: Program, problem: Problem, config: RunConfig) -> RunResult:
     """Run one program as an optimiser; deterministic given config.seed."""
-    return run_with_source(FixedSource(program), problem, config)
+    return run_with_source(program, problem, config)
 
 
 def repeated_runs(runner, family: ProblemFamily, repeats: int, config: RunConfig) -> FitnessReport:

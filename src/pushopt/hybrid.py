@@ -50,10 +50,11 @@ class PoolSource:
     ``swarm_size`` members, drawn when the source is built.
 
     Draws are made a block at a time: one ``rng.integers(len(pool),
-    size=swarm_size)`` call per move. numpy fills a block with the same
-    values as that many scalar draws and leaves the stream where they
-    would, so the n-th ``select`` returns the program of the n-th scalar
-    draw.
+    size=swarm_size)`` call per move, made by member 0's ``select``; this
+    relies on the harness calling ``select`` once per member-move, in
+    member order. numpy fills a block with the same values as that many
+    scalar draws and leaves the stream where they would, so the n-th
+    ``select`` returns the program of the n-th scalar draw.
     """
 
     def __init__(self, pool: Pool, rng, swarm_size: int, mode: str = MODES[0]):
@@ -63,8 +64,7 @@ class PoolSource:
         self.rng = rng
         self.swarm_size = swarm_size
         self.mode = mode
-        self.assignments = self._draw_block() if mode == "per_member" else None
-        self._pending = iter(())
+        self.block = self._draw_block() if mode == "per_member" else None
 
     def _draw_block(self) -> list:
         entries = self.pool.entries
@@ -72,13 +72,9 @@ class PoolSource:
         return [entries[i].program for i in picks.tolist()]
 
     def select(self, member: int, move: int) -> Program:
-        if self.mode == "per_member":
-            return self.assignments[member]
-        program = next(self._pending, None)
-        if program is None:
-            self._pending = iter(self._draw_block())
-            program = next(self._pending)
-        return program
+        if member == 0 and self.mode == "per_move":
+            self.block = self._draw_block()
+        return self.block[member]
 
 
 def run_hybrid(pool: Pool, problem: Problem, config: RunConfig, mode: str = MODES[0]) -> RunResult:
@@ -116,12 +112,13 @@ def _program(record: dict, where: str) -> Program:
 
 def _fitness(value, where: str) -> float:
     """``value`` as a fitness; a ValueError that names ``where`` if it is
-    not a JSON number or is NaN, which ``build_pool``'s order cannot place
-    (``json`` reads ``NaN``; ``Infinity`` sorts last and is kept)."""
+    not a finite JSON number. ``json`` reads ``NaN`` and ``Infinity``, but
+    ``build_pool``'s order cannot place NaN, and neither is JSON that
+    ``write_pool_manifest`` could write back."""
     if type(value) not in (int, float):
         raise ValueError(f'{where}: "fitness" is not a JSON number')
-    if math.isnan(value):
-        raise ValueError(f'{where}: "fitness" is NaN')
+    if not math.isfinite(value):
+        raise ValueError(f'{where}: "fitness" is {json.dumps(value)}')
     return float(value)
 
 
@@ -173,9 +170,10 @@ def write_pool_manifest(pool: Pool, path) -> None:
             for e in pool.entries
         ]
     }
+    # allow_nan=False: a non-finite fitness raises before the file is opened.
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_pool_manifest(path) -> Pool:

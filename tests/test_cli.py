@@ -195,7 +195,11 @@ def test_hybrid_top5_pool_size(tmp_path):
         "--out", str(out),
     )
     assert code == 0
-    pool = json.loads((out / "pool.json").read_text())
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    pool = json.loads((out / "pool.json").read_text(), parse_constant=refuse)
     assert len(pool["programs"]) == 5
 
 
@@ -884,12 +888,17 @@ def _bad_checkpoint_line(tmp_path, payload):
          'run.jsonl:2: "fitness" is NaN'),
         (_bad_pool, {"programs": [{"program": "(0.0 vector.wrand)", "fitness": float("nan")}]},
          'pool.json entry 0: "fitness" is NaN'),
+        (_bad_checkpoint_line, {"fitness": float("inf"), "program": "(0.0 vector.wrand)"},
+         'run.jsonl:2: "fitness" is Infinity'),
+        (_bad_pool, {"programs": [{"program": "(0.0 vector.wrand)", "fitness": float("-inf")}]},
+         'pool.json entry 0: "fitness" is -Infinity'),
     ],
     ids=[
         "pool-without-programs", "pool-list", "programs-not-list", "pool-entry-without-program",
         "checkpoint-without-program", "pool-entry-unparseable", "pool-entry-not-text",
         "checkpoint-unparseable", "checkpoint-fitness-null", "pool-entry-fitness-text",
         "pool-entry-source-not-text", "checkpoint-fitness-nan", "pool-entry-fitness-nan",
+        "checkpoint-fitness-inf", "pool-entry-fitness-neg-inf",
     ],
 )
 def test_malformed_pool_or_checkpoint_fails_cleanly(tmp_path, capsys, build, payload, message):

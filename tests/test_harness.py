@@ -63,15 +63,24 @@ def test_init_pbestindex_is_argmin_of_first_coordinates():
 
 
 def test_init_seeds_member_stacks():
+    # The start point is answered as an improving in-bounds move 0. Every
+    # start point ties on the constant objective, and ties go to the lowest
+    # index.
     problem = stub_problem("STUB-7")
-    swarm = init_swarm(Program(()), problem, RunConfig(swarm_size=3, moves=1, seed=2))
+    swarm = init_swarm(Program(()), problem, RunConfig(swarm_size=3, moves=1, seed=2, record_trajectory=True))
     for member in swarm.members:
         st = member.state
-        assert st.vectors[-1] is member.point  # own initial point on top
+        assert st.vectors == [member.point]  # own initial point, no best-point reminder
         assert st.floats == [7.0]
         assert st.booleans == [True]
         assert st.inputs == (-1.0, 1.0)
         assert st.exec == []
+    assert swarm.pbestindex == 0
+    assert swarm.evaluations_used == 3
+    assert len(swarm.trajectory) == 3
+    for p, (row, member) in enumerate(zip(swarm.trajectory, swarm.members)):
+        assert (row.move, row.member, row.value, row.in_bounds, row.pbest) == (0, p, 7.0, True, 7.0)
+        assert row.point is member.point
 
 
 def test_init_points_are_distinct_and_in_bounds():

@@ -142,14 +142,19 @@ def _checkpoint(path, fitnesses):
     return path
 
 
-def test_build_pool_refuses_nan_and_keeps_infinity(tmp_path):
+def test_build_pool_refuses_nan_and_infinity(tmp_path):
     # NaN has no place in the (fitness, source) order: sorted among 1.0 and
     # 0.5 it would keep [1.0, NaN] or [0.5, NaN] as the top two, by line order.
     for fitnesses in ([1.0, math.nan, 0.5], [0.5, math.nan, 1.0]):
         with pytest.raises(ValueError, match='ck.jsonl:2: "fitness" is NaN'):
             build_pool([_checkpoint(tmp_path / "ck.jsonl", fitnesses)], top_n=2)
-    pool = build_pool([_checkpoint(tmp_path / "ck.jsonl", [math.inf, 1.0, 0.5])], top_n=2)
-    assert [e.fitness for e in pool.entries] == [0.5, 1.0]
+    # Infinity is not JSON either, so a pool.json could not hold it.
+    for value, token in ((math.inf, "Infinity"), (-math.inf, "-Infinity")):
+        with pytest.raises(ValueError, match=f'ck.jsonl:1: "fitness" is {token}'):
+            build_pool([_checkpoint(tmp_path / "ck.jsonl", [value, 1.0, 0.5])], top_n=2)
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        write_pool_manifest(Pool((entry("(1)", math.inf),)), tmp_path / "pool.json")
+    assert not (tmp_path / "pool.json").exists()
 
 
 def test_build_pool_empty_selection_is_error(tmp_path):
