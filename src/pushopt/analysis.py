@@ -6,11 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import islice
 
-from .harness import RunConfig, fitness, format_value, init_swarm, run_optimisation, step_swarm, write_csv
+from .harness import RunConfig, fitness, format_value, run_optimisation, write_csv
 from .hybrid import Pool, run_hybrid
 from .parallel import worker_pool
 from .problems import Problem, ProblemFamily
-from .push import Program, counting, instruction_errstate
+from .push import Program, counting
 from .rng import derive_seed, stream
 
 
@@ -58,13 +58,11 @@ def dynamic_instruction_usage(
     once per family instance under ``config``."""
     _check_usage_args(programs, top)
     counts = {}
-    with instruction_errstate(), counting(counts):
+    with counting(counts):
         for i, program in enumerate(programs):
             problem = family.instance(stream(config.seed, "usage", i))
             # A copy, so that no plan resolved before counting began runs.
-            swarm = init_swarm(Program(program.items), problem, config)
-            for move in range(1, config.moves + 1):
-                step_swarm(swarm, problem, move)
+            run_optimisation(Program(program.items), problem, config)
     return _usage_rows(counts, top)
 
 

@@ -200,11 +200,17 @@ def _write_manifest(out_dir: Path, command: str, params: dict) -> None:
         fh.write("\n")
 
 
-def _problem_family(params: dict) -> ProblemFamily:
+def _problem_family(params: dict, defaults: dict = None) -> ProblemFamily:
+    """The family of a descriptor file, which excludes every problem key
+    not at its ``defaults`` value, or of the problem keys."""
     if params["transforms"] not in TRANSFORMS:
         raise CliError(f"transforms must be one of {', '.join(TRANSFORMS)}, not {params['transforms']!r}")
     if params.get("problem_file"):
-        return problem_family_from_descriptor(_load_json_object(params["problem_file"]))
+        family = problem_family_from_descriptor(_load_json_object(params["problem_file"]))
+        given = [FLAGS[k][0] for k in ("function", "D", "problem_seed", "transforms") if params[k] != defaults[k]]
+        if given:
+            raise CliError(f"--problem excludes {', '.join(given)}")
+        return family
     _require(params, ["function", "D"], "problem selection")
     function = make_function(params["function"], params["D"], params["problem_seed"])
     ranges = params.get("transform_ranges")
@@ -260,7 +266,8 @@ def _repeat_and_write(runner, params: dict, out_dir: Path, result_files=()):
     once resumed, repeat ``runner(problem, config)`` as ``params`` ask and
     write ``results.csv`` and, when one is named, the trajectory file."""
     record = params["trajectory"] is not None
-    family = _problem_family(params)
+    # run and hybrid share their problem defaults.
+    family = _problem_family(params, RUN_DEFAULTS)
     config = _run_config(params, record)
     repeats = _count(params, "repeats")
     if record:
@@ -423,7 +430,7 @@ def cmd_analyze_simplify(params: dict, out_dir: Path):
     """Remove effect-free instructions."""
     _require(params, ["program"], "analyze simplify")
     program = _load_program_arg(params["program"])
-    family = _problem_family(params)
+    family = _problem_family(params, SIMPLIFY_DEFAULTS)
     config = _run_config(params, record=False)
     repeats, tolerance = _count(params, "repeats"), params["tolerance"]
     yield

@@ -59,10 +59,6 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
-    @property
-    def budget(self) -> int:
-        return self.swarm_size * self.moves
-
 
 @dataclass
 class SwarmMember:

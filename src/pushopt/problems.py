@@ -13,7 +13,8 @@ Additional functions can be plugged in through ``register_function``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +27,9 @@ class BenchmarkFunction:
     """A benchmark objective over a hyper-cubic domain.
 
     ``evaluate`` returns the error f(x) - f(x*), which is 0 at the shift
-    point. Instances are immutable and safe for concurrent evaluation.
+    point, as ``evaluator(self, x)``: ``make_function`` sets ``evaluator``,
+    and a pickled instance carries it by module and name. Instances are
+    immutable and safe for concurrent evaluation.
     """
 
     id: str
@@ -35,6 +38,7 @@ class BenchmarkFunction:
     upper: float
     shift: np.ndarray
     params: dict = field(default_factory=dict)
+    evaluator: Callable = field(default=None, repr=False)
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -43,58 +47,48 @@ class BenchmarkFunction:
     def evaluate(self, point: np.ndarray) -> float:
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        return _EVALUATORS[self.id](self, np.asarray(point, dtype=float))
-
-    def __reduce__(self):
-        # A spawn or forkserver worker holds only what its imports registered.
-        fields = (self.id, self.dim, self.lower, self.upper, self.shift, self.params)
-        return _unpickle_function, (_EVALUATORS.get(self.id), fields)
+        return self.evaluator(self, np.asarray(point, dtype=float))
 
 
-def _unpickle_function(evaluator, fields) -> BenchmarkFunction:
-    if evaluator is not None:
-        _EVALUATORS.setdefault(fields[0], evaluator)
-    return BenchmarkFunction(*fields)
-
-
-# Function ids map to their builders and evaluators; an instance names its
-# evaluator by id, so it holds no function object of its own.
-_EVALUATORS: dict = {}
-_BUILDERS: dict = {}
+# Function ids map to their (builder, evaluator) pairs.
+_FUNCTIONS: dict = {}
 
 
 def register_function(fid: str, builder, evaluator) -> None:
     """Register an externally supplied benchmark function.
 
     ``builder(dim, seed, bounds)`` must return a BenchmarkFunction with
-    ``id == fid``; ``evaluator(function, point)`` must return the error at
-    ``point`` as a finite number, and must be a deterministic function of
-    the point. The harness relies on both: it reuses a member's last value
-    when the member proposes the same point again, results match across
-    ``jobs`` counts only if workers compute the same values, and a value
-    that is not finite, or a numpy floating-point error (evaluation runs
-    under ``instruction_errstate``), stops the run with ``ValueError``.
+    ``id == fid`` and, when ``bounds`` is not None, those bounds.
+    ``make_function`` attaches ``evaluator`` to the instance, which pickles
+    it by module and name: for ``jobs > 1`` under ``spawn`` or
+    ``forkserver`` it must be a module-level function.
 
-    A pickled instance carries its evaluator, by module and name, and
-    registers it where it is missing, so worker processes need no
-    registration of their own; for ``jobs > 1`` under ``spawn`` or
-    ``forkserver``, ``evaluator`` must therefore be a module-level function.
+    ``evaluator(function, point)`` must return the error at ``point`` as a
+    finite number, and must be a deterministic function of the point. The
+    harness relies on both: it reuses a member's last value when the member
+    proposes the same point again, results match across ``jobs`` counts
+    only if workers compute the same values, and a value that is not
+    finite, or a numpy floating-point error (evaluation runs under
+    ``instruction_errstate``), stops the run with ``ValueError``.
     """
-    _BUILDERS[fid] = builder
-    _EVALUATORS[fid] = evaluator
+    _FUNCTIONS[fid] = (builder, evaluator)
 
 
 def make_function(fid: str, dim: int, seed: int, bounds: tuple = None) -> BenchmarkFunction:
     """Build a function instance, deterministic in (id, dim, seed)."""
-    if fid not in _BUILDERS:
+    if fid not in _FUNCTIONS:
         raise ValueError(
-            f"unsupported function id: {fid} (supported: {', '.join(_BUILDERS)})"
+            f"unsupported function id: {fid} (supported: {', '.join(_FUNCTIONS)})"
         )
     if dim < 1:
         raise ValueError("dimensionality must be >= 1")
     if seed < 0:
         raise ValueError("function seed must be >= 0")
-    return _BUILDERS[fid](dim, seed, bounds)
+    builder, evaluator = _FUNCTIONS[fid]
+    function = builder(dim, seed, bounds)
+    if bounds is not None and function.bounds != tuple(bounds):
+        raise ValueError(f"the builder of {fid} ignored bounds {tuple(bounds)}: it built {function.bounds}")
+    return replace(function, evaluator=evaluator)
 
 
 def _shift_within(lower, upper, dim, rng, margin=0.1):

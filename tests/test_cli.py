@@ -1180,3 +1180,41 @@ def test_problem_descriptor_is_read_once(tmp_path, monkeypatch):
     assert run_cli("run", *argv, "--out", str(tmp_path / "run")) == 0
     assert run_cli("analyze", "simplify", *argv, "--out", str(tmp_path / "simplify")) == 0
     assert len(reads) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("run", ["--function", "F9"], "--function"),
+        ("run", ["--dim", "3"], "--dim"),
+        ("run", ["--transforms", "random"], "--transforms"),
+        ("run", ["--problem-seed", "2"], "--problem-seed"),
+        ("run", ["--function", "F9", "--dim", "3", "--transforms", "random"], "--function, --dim, --transforms"),
+        ("analyze simplify", ["--transforms", "identity"], "--transforms"),
+    ],
+    ids=["run-function", "run-dim", "run-transforms", "run-problem-seed", "run-three-flags", "simplify-transforms"],
+)
+def test_problem_file_excludes_the_problem_flags(tmp_path, capsys, command, flags, named):
+    descriptor = write_json(tmp_path / "problem.json", {"id": "F1", "D": 2})
+    out = tmp_path / "out"
+    argv = [*command.split(), "--program", ORIGIN, "--problem", descriptor, *flags, "--moves", "3"]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: --problem excludes {named}\n"
+    assert not out.exists()
+
+
+def test_problem_file_takes_flags_at_the_command_default(tmp_path):
+    descriptor = write_json(tmp_path / "problem.json", {"id": "F1", "D": 2})
+    argv = ["--program", ORIGIN, "--problem", descriptor, "--problem-seed", "0", "--moves", "3"]
+    assert run_cli("run", *argv, "--transforms", "identity", "--out", str(tmp_path / "run")) == 0
+    assert run_cli("analyze", "simplify", *argv, "--transforms", "random", "--out", str(tmp_path / "simplify")) == 0
+
+
+def test_replayed_problem_file_with_problem_keys_fails_before_out_is_made(tmp_path, capsys):
+    descriptor = write_json(tmp_path / "problem.json", {"id": "F1", "D": 2})
+    params = {"program": ORIGIN, "problem_file": descriptor, "function": "F9", "D": 3, "moves": 3}
+    manifest = write_json(tmp_path / "manifest.json", {"command": "run", "params": params})
+    out = tmp_path / "out"
+    assert run_cli("replay", "--manifest", manifest, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: --problem excludes --function, --dim\n"
+    assert not out.exists()

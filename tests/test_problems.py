@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from pushopt import problems
 from pushopt.problems import (
     Problem,
     ProblemFamily,
@@ -44,6 +46,15 @@ def test_unsupported_id_is_error():
 def test_bad_dimension_is_error():
     with pytest.raises(ValueError):
         make_function("F1", 0, 1)
+
+
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_pickled_function_carries_its_evaluator(fid):
+    fn = make_function(fid, 3, 0)
+    copy = pickle.loads(pickle.dumps(fn))
+    assert copy.evaluator is problems._FUNCTIONS[fid][1]
+    for point in stream(1, "pickle", fid).uniform(fn.lower, fn.upper, (4, 3)):
+        assert copy.evaluate(point).hex() == fn.evaluate(point).hex()
 
 
 @pytest.mark.parametrize(
@@ -399,6 +410,13 @@ def test_descriptor_bad_bounds_override_is_error(bounds):
 def test_descriptor_bounds_override_takes_a_huge_integer_as_a_bad_value():
     with pytest.raises(ValueError, match="bounds_override"):
         problem_family_from_descriptor({"id": "F1", "D": 2, "bounds_override": [0, 10**400]})
+
+
+def test_bounds_ignored_by_a_builder_are_an_error():
+    # The STUB-7 builder always builds bounds (-1, 1).
+    assert make_function("STUB-7", 2, 0, bounds=(-1, 1)).bounds == (-1.0, 1.0)
+    with pytest.raises(ValueError, match="STUB-7"):
+        problem_family_from_descriptor({"id": "STUB-7", "D": 2, "bounds_override": [-5, 5]})
 
 
 def test_descriptor_null_bounds_override_keeps_the_default():
