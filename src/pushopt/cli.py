@@ -41,7 +41,6 @@ from .push import (
     Program,
     load_program,
     parse_program,
-    print_program,
     save_program,
 )
 
@@ -317,13 +316,7 @@ def cmd_evolve(params: dict, out_dir: Path):
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     def on_generation(generation, population, fitnesses):
-        path = checkpoint_dir / f"gen_{generation:04d}.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for program, fit in zip(population, fitnesses):
-                fh.write(
-                    json.dumps({"fitness": fit, "program": print_program(program)})
-                    + "\n"
-                )
+        hybrid.write_checkpoint(checkpoint_dir / f"gen_{generation:04d}.jsonl", population, fitnesses)
 
     result = evolution.evolve(config, family, on_generation=on_generation, jobs=jobs)
     save_program(result.best_program, out_dir / "best_program.txt")
@@ -347,7 +340,7 @@ def cmd_run(params: dict, out_dir: Path):
 
 def cmd_hybrid(params: dict, out_dir: Path):
     """Run a heterogeneous swarm over a pool."""
-    if params.get("pool") and (params.get("dir") or params.get("top")):
+    if params.get("pool") and (params.get("dir") or params["top"] is not None):
         raise CliError("give either a pool manifest or a checkpoint dir with --top, not both")
     if params.get("pool"):
         pool = hybrid.load_pool_manifest(params["pool"])
@@ -401,10 +394,11 @@ def _collect_checkpoints(entries) -> dict:
 def cmd_analyze_usage(params: dict, out_dir: Path):
     """Instruction usage table."""
     _require(params, ["checkpoints"], "analyze usage")
-    groups = {
-        label: [entry.program for f in files for entry in hybrid.read_checkpoint(f)]
-        for label, files in _collect_checkpoints(params["checkpoints"]).items()
-    }
+    groups = {}
+    for label, files in _collect_checkpoints(params["checkpoints"]).items():
+        groups[label] = [entry.program for f in files for entry in hybrid.read_checkpoint(f)]
+        if not groups[label]:
+            raise CliError(f"checkpoint group {label} holds no programs")
     top = _count(params, "top")
     dynamic = _mode(params, "analyze-usage") == "dynamic"
     if dynamic:

@@ -7,10 +7,11 @@ error) through its stacks. A member's random start point is answered as
 move 0, exactly like an improving in-bounds proposal: true and its error,
 one evaluation charged. Members see each other's current and best points
 as they were at the start of each move, through one ``SwarmContext`` per
-run that is brought up to date after every member has moved. The pbest index
-pushed to each member's integer stack is live, not snapshotted: a member that
-improves on the swarm best changes the index the members after it receive in
-the same move, so results can depend on the order members execute.
+run that is brought up to date after every member has moved, and each move's
+programs are chosen before any member runs. Only the pbest index pushed to
+each member's integer stack depends on the order members execute: it is live,
+not snapshotted, so a member that improves on the swarm best changes the index
+the members after it receive in the same move.
 """
 
 from __future__ import annotations
@@ -91,22 +92,23 @@ class TrajectoryRow:
 
 class FixedSource:
     """Program source for a homogeneous swarm: every member runs the same
-    program every move. A source is anything with ``select(member, move)``,
-    which the harness calls once per member-move, in member order."""
+    program every move. A source is anything with ``select(move)``, which
+    the harness calls once at the start of each move, before any member
+    runs; it returns one program per member, in member order."""
 
-    def __init__(self, program: Program):
-        self.program = program
+    def __init__(self, program: Program, swarm_size: int):
+        self.programs = (program,) * swarm_size
 
-    def select(self, member: int, move: int) -> Program:
-        return self.program
+    def select(self, move: int) -> tuple:
+        return self.programs
 
 
 @dataclass
 class Swarm:
+    """The members of one run; the swarm best is ``members[pbestindex]``."""
+
     members: list
-    pbest: float
     pbestindex: int
-    pbest_point: np.ndarray
     evaluations_used: int
     source: object
     context: SwarmContext
@@ -156,12 +158,12 @@ def init_swarm(source, problem: Problem, config: RunConfig) -> Swarm:
     here and in ``step_swarm``.
     """
     if isinstance(source, Program):
-        source = FixedSource(source)
+        source = FixedSource(source, config.swarm_size)
     lower, upper = problem.bounds
     init_rng = stream(config.seed, "init")
     members = []
-    swarm = Swarm(members=members, pbest=math.inf, pbestindex=0, pbest_point=None, evaluations_used=0,
-                  source=source, context=None, trajectory=[] if config.record_trajectory else None)
+    swarm = Swarm(members=members, pbestindex=0, evaluations_used=0, source=source, context=None,
+                  trajectory=[] if config.record_trajectory else None)
     for p in range(config.swarm_size):
         state = InterpreterState(
             dim=problem.dim,
@@ -191,7 +193,8 @@ def _in_bounds(point: np.ndarray, lower: float, upper: float) -> bool:
 def _answer(swarm: Swarm, member: SwarmMember, problem: Problem, move: int,
             proposal: np.ndarray, evaluable: bool) -> None:
     """Answer one proposal through the member's stacks, then update the
-    bests and the trajectory.
+    bests and the trajectory. A tie with the swarm best keeps the earlier
+    pbest index.
 
     An evaluable proposal is charged one evaluation and answered with an
     improvement boolean and its error, plus the member's best point if it
@@ -226,35 +229,35 @@ def _answer(swarm: Swarm, member: SwarmMember, problem: Problem, move: int,
         state.booleans.append(False)
         state.floats.append(INFEASIBLE)
         recorded = math.inf
-    if member.bestval < swarm.pbest:
-        swarm.pbest = member.bestval
+    pbest = swarm.members[swarm.pbestindex].bestval
+    if member.bestval < pbest:
         swarm.pbestindex = member.index
-        swarm.pbest_point = member.best
+        pbest = member.bestval
     if swarm.trajectory is not None:
-        swarm.trajectory.append(TrajectoryRow(move, member.index, proposal, recorded, evaluable, swarm.pbest))
+        swarm.trajectory.append(TrajectoryRow(move, member.index, proposal, recorded, evaluable, pbest))
 
 
 def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
     """Run one move (move numbers start at 1) for every member.
 
-    The member's integer stack receives the move number, its own index and
-    the current pbest index; after execution the proposal is read
-    non-destructively from the top of the vector stack and answered (see
-    ``_answer``): in-bounds proposals are evaluated, consuming budget, and
-    out-of-bounds ones are not.
+    The source's ``select(move)`` gives the move's programs, one per member,
+    before any member runs; a count that is not the swarm size raises
+    ``ValueError``. The member's integer stack receives the move number,
+    its own index and the current pbest index; after execution the proposal
+    is read non-destructively from the top of the vector stack and answered
+    (see ``_answer``): in-bounds proposals are evaluated, consuming budget,
+    and out-of-bounds ones are not.
 
     The caller enters ``instruction_errstate``, as ``run_with_source`` does
     once per run. Correctness, not only quiet, depends on it: vector
     instructions detect non-finite results through the errors it raises.
     """
     lower, upper = problem.bounds
-    select = swarm.source.select
     ctx = swarm.context
     members = swarm.members
-    for member in members:
+    for member, program in zip(members, swarm.source.select(move), strict=True):
         index = member.index
         ctx.self_index = index
-        program = select(index, move)
         state = member.state
         integers = state.integers
         integers.append(move)
@@ -287,9 +290,10 @@ def run_with_source(source, problem: Problem, config: RunConfig) -> RunResult:
         swarm = init_swarm(source, problem, config)
         for move in range(1, config.moves + 1):
             step_swarm(swarm, problem, move)
+    best = swarm.members[swarm.pbestindex]
     return RunResult(
-        pbest=swarm.pbest,
-        pbest_point=np.array(swarm.pbest_point),
+        pbest=best.bestval,
+        pbest_point=np.array(best.best),
         evaluations_used=swarm.evaluations_used,
         trajectory=tuple(swarm.trajectory) if swarm.trajectory is not None else None,
     )

@@ -41,20 +41,18 @@ class Pool:
 
 
 class PoolSource:
-    """Per-(member, move) uniform program selection from a pool.
+    """Uniform program selection from a pool, one program per member.
 
     Selection draws come from their own random stream so that pool size
     never perturbs the point-sampling randomness of the underlying run; a
-    pool of one therefore reproduces the homogeneous harness exactly. The
-    ``per_member`` mode instead assigns one persistent program to each of
-    ``swarm_size`` members, drawn when the source is built.
+    pool of one therefore reproduces the homogeneous harness exactly.
 
-    Draws are made a block at a time: one ``rng.integers(len(pool),
-    size=swarm_size)`` call per move, made by member 0's ``select``; this
-    relies on the harness calling ``select`` once per member-move, in
-    member order. numpy fills a block with the same values as that many
-    scalar draws and leaves the stream where they would, so the n-th
-    ``select`` returns the program of the n-th scalar draw.
+    ``select(move)`` returns the move's programs in member order: under
+    ``per_move`` a fresh block from one ``rng.integers(len(pool),
+    size=swarm_size)`` call, and under ``per_member`` the block drawn the
+    same way when the source is built, so each member keeps one program.
+    numpy fills a block with the same values as that many scalar draws and
+    leaves the stream where they would.
     """
 
     def __init__(self, pool: Pool, rng, swarm_size: int, mode: str = MODES[0]):
@@ -71,10 +69,8 @@ class PoolSource:
         picks = self.rng.integers(len(entries), size=self.swarm_size)
         return [entries[i].program for i in picks.tolist()]
 
-    def select(self, member: int, move: int) -> Program:
-        if member == 0 and self.mode == "per_move":
-            self.block = self._draw_block()
-        return self.block[member]
+    def select(self, move: int) -> list:
+        return self._draw_block() if self.mode == "per_move" else self.block
 
 
 def run_hybrid(pool: Pool, problem: Problem, config: RunConfig, mode: str = MODES[0]) -> RunResult:
@@ -122,6 +118,14 @@ def _fitness(value, where: str) -> float:
     return float(value)
 
 
+def write_checkpoint(path, population, fitnesses) -> None:
+    """Write a JSONL checkpoint: one ``{"fitness", "program"}`` object per
+    program, in population order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for program, fit in zip(population, fitnesses):
+            fh.write(json.dumps({"fitness": fit, "program": print_program(program)}) + "\n")
+
+
 def read_checkpoint(path) -> list:
     """Read (fitness, program text) entries from a JSONL checkpoint file."""
     entries = []
@@ -158,8 +162,6 @@ def build_pool(checkpoints, top_n: int = None) -> Pool:
         if top_n < 1:
             raise ValueError("top_n must be >= 1")
         candidates = candidates[:top_n]
-    if not candidates:
-        raise ValueError("pool selection is empty")
     return Pool(tuple(candidates))
 
 

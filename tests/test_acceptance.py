@@ -243,7 +243,7 @@ def test_criterion_4_feedback_contract():
     assert state.floats[-1] == value0 - 0.25  # ... plus the new error
     assert swarm.evaluations_used == 2
 
-    swarm.source = FixedSource(Program(()))
+    swarm.source = FixedSource(Program(()), config.swarm_size)
     value1 = member.value
     best_before = member.best
     vector_depth = len(state.vectors)
@@ -255,7 +255,7 @@ def test_criterion_4_feedback_contract():
     assert state.vectors[-1] is best_before
     assert swarm.evaluations_used == 3
 
-    swarm.source = FixedSource(parse_program("(1000.0 0 vector.dim+)"))
+    swarm.source = FixedSource(parse_program("(1000.0 0 vector.dim+)"), config.swarm_size)
     value2 = member.value
     bestval2 = member.bestval
     with instruction_errstate():
@@ -353,8 +353,9 @@ def test_criterion_6_hybrid_degenerate_equivalence():
     source = PoolSource(pool, stream(5, "sel"), 5)
     counts = dict.fromkeys(pool.programs, 0)
     draws = 10_000
-    for i in range(draws):
-        counts[source.select(i % 5, i)] += 1
+    for move in range(draws // 5):
+        for program in source.select(move):
+            counts[program] += 1
     for program in pool.programs:
         assert abs(counts[program] / draws - 0.2) <= 0.02
     report(

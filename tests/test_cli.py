@@ -924,6 +924,13 @@ def _malformed_checkpoints(tmp_path):
     return _write_checkpoints(tmp_path / "good"), bad
 
 
+def _empty_checkpoints(tmp_path):
+    directory = tmp_path / "gens"
+    directory.mkdir()
+    (directory / "gen_0000.jsonl").write_text("")
+    return directory
+
+
 def _run_on_descriptor(tmp_path, raw):
     return ["run", "--program", ORIGIN, "--problem", write_json(tmp_path / "problem.json", raw)]
 
@@ -979,6 +986,14 @@ BAD_INPUTS = {
     "usage-malformed-checkpoint": (
         lambda d: _usage_over(*_malformed_checkpoints(d)),
         'gen_0000.jsonl:1 is not a JSON object with "program"'),
+    "usage-empty-checkpoint": (
+        lambda d: _usage_over(_empty_checkpoints(d)), "checkpoint group gens holds no programs"),
+    "hybrid-empty-checkpoint": (
+        lambda d: ["hybrid", "--dir", str(_empty_checkpoints(d)), "--function", "F1"], "pool must not be empty"),
+    "hybrid-pool-top-0": (
+        lambda d: ["hybrid", "--pool", write_json(d / "pool.json", {"programs": [{"program": ORIGIN}]}),
+                   "--top", "0", "--function", "F1"],
+        "not both"),
     "evolve-unknown-instruction": (
         lambda d: _evolve_with(d, instructions=["vector.teleport"]), "unknown instructions"),
     "evolve-rates-off-one": (

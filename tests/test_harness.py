@@ -35,6 +35,10 @@ def stub_problem(fid, dim=2):
     return Problem.plain(make_function(fid, dim, 0))
 
 
+def pbest(swarm):
+    return swarm.members[swarm.pbestindex].bestval
+
+
 ORIGIN_PROGRAM = parse_program("(0.0 vector.wrand)")  # proposes exactly the origin
 ESCAPE_PROGRAM = parse_program("(1000.0 0 vector.dim+)")  # pushes far out of bounds
 
@@ -48,7 +52,7 @@ def test_init_single_member_pbest():
     problem = stub_problem("STUB-X0")
     swarm = init_swarm(Program(()), problem, RunConfig(swarm_size=1, moves=1, seed=5))
     member = swarm.members[0]
-    assert swarm.pbest == member.value == problem.evaluate(member.point)
+    assert pbest(swarm) == member.value == problem.evaluate(member.point)
     assert swarm.pbestindex == 0
     assert swarm.evaluations_used == 1
 
@@ -58,7 +62,7 @@ def test_init_pbestindex_is_argmin_of_first_coordinates():
     swarm = init_swarm(Program(()), problem, RunConfig(swarm_size=5, moves=1, seed=8))
     values = [m.point[0] for m in swarm.members]
     assert swarm.pbestindex == int(np.argmin(values))
-    assert swarm.pbest == pytest.approx(min(values) + 1.0)
+    assert pbest(swarm) == pytest.approx(min(values) + 1.0)
     assert swarm.evaluations_used == 5
 
 
@@ -137,7 +141,7 @@ def test_constant_optimum_program_reaches_zero_in_one_move():
     problem = stub_problem("STUB-SPHERE0")
     swarm = init_swarm(ORIGIN_PROGRAM, problem, RunConfig(swarm_size=1, moves=1, seed=1))
     step_swarm(swarm, problem, 1)
-    assert swarm.pbest == 0.0
+    assert pbest(swarm) == 0.0
 
 
 def test_empty_program_reproposes_previous_point():
@@ -193,9 +197,45 @@ def test_pbest_tracks_best_across_members():
     for move in range(1, 6):
         step_swarm(swarm, problem, move)
     # origin has error 1.0 under STUB-X0 (x0 - lower = 0 - (-1))
-    assert swarm.pbest == min(1.0, swarm.pbest)
+    assert pbest(swarm) == min(1.0, pbest(swarm))
     replay = min(m.bestval for m in swarm.members)
-    assert swarm.pbest == replay
+    assert pbest(swarm) == replay
+
+
+class _RecordingSource:
+    """Runs ``program`` on every member; records each ``select`` call with
+    the trajectory length at that call."""
+
+    def __init__(self, program, count, swarm):
+        self.programs = (program,) * count
+        self.swarm = swarm
+        self.calls = []
+
+    def select(self, move):
+        self.calls.append((move, len(self.swarm.trajectory)))
+        return self.programs
+
+
+def test_select_is_called_once_per_move_before_any_member_runs():
+    problem = stub_problem("STUB-X0")
+    config = RunConfig(swarm_size=3, moves=4, seed=5, record_trajectory=True)
+    swarm = init_swarm(ORIGIN_PROGRAM, problem, config)
+    source = swarm.source = _RecordingSource(ORIGIN_PROGRAM, config.swarm_size, swarm)
+    for move in range(1, config.moves + 1):
+        step_swarm(swarm, problem, move)
+    # At each call, only whole moves have been answered: move 0 and the
+    # moves before this one.
+    assert source.calls == [(move, config.swarm_size * move) for move in range(1, config.moves + 1)]
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_wrong_number_of_programs_is_an_error(count):
+    problem = stub_problem("STUB-X0")
+    config = RunConfig(swarm_size=3, moves=1, seed=5, record_trajectory=True)
+    swarm = init_swarm(ORIGIN_PROGRAM, problem, config)
+    swarm.source = _RecordingSource(ORIGIN_PROGRAM, count, swarm)
+    with pytest.raises(ValueError):
+        step_swarm(swarm, problem, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +271,7 @@ def test_feedback_contract_improving_nonimproving_outofbounds():
 
     # Force a non-improving in-bounds move: freeze the proposal by running
     # an empty program (re-evaluates the same point; equal is not better).
-    swarm.source = FixedSource(Program(()))
+    swarm.source = FixedSource(Program(()), config.swarm_size)
     value1 = member.value
     step_swarm(swarm, problem, 2)
     assert state.booleans[-1] is False
@@ -241,7 +281,7 @@ def test_feedback_contract_improving_nonimproving_outofbounds():
     assert swarm.evaluations_used == 3
 
     # Out of bounds: false + infeasible marker, no evaluation consumed.
-    swarm.source = FixedSource(ESCAPE_PROGRAM)
+    swarm.source = FixedSource(ESCAPE_PROGRAM, config.swarm_size)
     evals = swarm.evaluations_used
     value_before = member.value
     step_swarm(swarm, problem, 3)

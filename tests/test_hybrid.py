@@ -11,11 +11,13 @@ from pushopt.hybrid import (
     PoolSource,
     build_pool,
     load_pool_manifest,
+    read_checkpoint,
     run_hybrid,
+    write_checkpoint,
     write_pool_manifest,
 )
 from pushopt.problems import Problem, make_function
-from pushopt.push import instruction_errstate, parse_program
+from pushopt.push import instruction_errstate, parse_program, print_program
 from pushopt.rng import stream
 
 from conftest import EVOLVED_OPTIMISERS
@@ -59,19 +61,20 @@ def test_selection_frequency_is_uniform():
     pool = five_pool()
     source = PoolSource(pool, stream(5, "sel"), 7)
     counts = {}
-    for i in range(10_000):
-        program = source.select(i % 7, i)
-        counts[program] = counts.get(program, 0) + 1
+    for move in range(1429):  # 10,003 draws
+        for program in source.select(move):
+            counts[program] = counts.get(program, 0) + 1
     for program in pool.programs:
-        assert 0.18 <= counts[program] / 10_000 <= 0.22
+        assert 0.18 <= counts[program] / 10_003 <= 0.22
 
 
 def test_per_member_mode_assigns_persistent_programs():
     pool = five_pool()
     source = PoolSource(pool, stream(6, "sel"), 4, mode="per_member")
-    for member in range(4):
-        programs = {source.select(member, move) for move in range(20)}
-        assert len(programs) == 1
+    first = source.select(1)
+    assert len(first) == 4
+    for move in range(2, 21):
+        assert source.select(move) == first
 
 
 def test_bad_mode_rejected():
@@ -173,6 +176,16 @@ def test_pool_manifest_round_trip(tmp_path):
     assert [e.fitness for e in loaded.entries] == [e.fitness for e in pool.entries]
 
 
+def test_checkpoint_round_trip(tmp_path):
+    pool = five_pool()
+    path = tmp_path / "gen_0000.jsonl"
+    fitnesses = [2.5, 0.125, 1e-300, 7.0, 0.0]
+    write_checkpoint(path, pool.programs, fitnesses)
+    entries = read_checkpoint(path)
+    assert [print_program(e.program) for e in entries] == [print_program(p) for p in pool.programs]
+    assert [e.fitness for e in entries] == fitnesses
+
+
 def test_hybrid_budget_invariants():
     pool = five_pool()
     problem = Problem.plain(make_function("F13", 2, 8))
@@ -185,22 +198,24 @@ def test_hybrid_budget_invariants():
 
 class ScalarDrawSource:
     """The reference for ``PoolSource``: one scalar ``integers(len(pool))``
-    draw per per-move ``select``, and one per member when it is built."""
+    draw per member, at each per-move ``select`` or once when it is built."""
 
     def __init__(self, pool, rng, swarm_size, mode):
         self.pool = pool
         self.rng = rng
+        self.swarm_size = swarm_size
         self.mode = mode
         if mode == "per_member":
-            self.assignments = [self.draw() for _ in range(swarm_size)]
+            self.assignments = self.draws()
 
-    def draw(self):
-        return self.pool.entries[int(self.rng.integers(len(self.pool)))].program
+    def draws(self):
+        entries = self.pool.entries
+        return [entries[int(self.rng.integers(len(entries)))].program for _ in range(self.swarm_size)]
 
-    def select(self, member, move):
+    def select(self, move):
         if self.mode == "per_member":
-            return self.assignments[member]
-        return self.draw()
+            return self.assignments
+        return self.draws()
 
 
 def _rows(result):
@@ -215,8 +230,8 @@ def _rows(result):
 @pytest.mark.parametrize("swarm_size", [1, 3, 10])
 def test_block_draws_match_scalar_draws(monkeypatch, mode, pool_size, swarm_size):
     # run_hybrid's selections come a block per move; a source that draws
-    # them one at a time gives the same trajectory and leaves the selection
-    # stream in the same state.
+    # them one scalar at a time gives the same trajectory and leaves the
+    # selection stream in the same state.
     streams = []
 
     def recording_stream(*path):
@@ -234,13 +249,3 @@ def test_block_draws_match_scalar_draws(monkeypatch, mode, pool_size, swarm_size
     assert _rows(blocked) == _rows(scalar)
     assert blocked.pbest == scalar.pbest
     assert select_rng.bit_generator.state == reference.rng.bit_generator.state
-
-
-def test_selects_follow_scalar_draws_across_partial_blocks():
-    # The n-th select is the n-th scalar draw, also when the selects stop
-    # part way through a block.
-    pool = five_pool()
-    source = PoolSource(pool, stream(8, "select"), 3)
-    reference = ScalarDrawSource(pool, stream(8, "select"), 3, "per_move")
-    got = [source.select(k % 3, k) for k in range(8)]
-    assert got == [reference.select(0, 0) for _ in range(8)]

@@ -45,9 +45,10 @@ def _reference_step_swarm(swarm, problem, move):
     # per move, and the objective called for every in-bounds proposal.
     lower, upper = problem.bounds
     ctx = SwarmContext([m.point for m in swarm.members], [m.best for m in swarm.members])
-    for member in swarm.members:
+    programs = swarm.source.select(move)
+    assert len(programs) == len(swarm.members)
+    for member, program in zip(swarm.members, programs):
         ctx.self_index = member.index
-        program = swarm.source.select(member.index, move)
         state = member.state
         state.integers.append(move)
         state.integers.append(member.index)
@@ -81,13 +82,13 @@ def _reference_step_swarm(swarm, problem, move):
             state.booleans.append(False)
             state.floats.append(INFEASIBLE)
             recorded = math.inf
-        if member.bestval < swarm.pbest:
-            swarm.pbest = member.bestval
+        best = swarm.members[swarm.pbestindex]
+        if member.bestval < best.bestval:
             swarm.pbestindex = member.index
-            swarm.pbest_point = member.best
+            best = member
         if swarm.trajectory is not None:
             swarm.trajectory.append(
-                TrajectoryRow(move, member.index, proposal, recorded, evaluable, swarm.pbest)
+                TrajectoryRow(move, member.index, proposal, recorded, evaluable, best.bestval)
             )
     return swarm
 
@@ -223,13 +224,13 @@ register_function(
 
 
 class _Alternating:
-    """Program source running ``programs[move % len(programs)]``."""
+    """Program source for one member running ``programs[move % len(programs)]``."""
 
     def __init__(self, programs):
         self.programs = programs
 
-    def select(self, member, move):
-        return self.programs[move % len(self.programs)]
+    def select(self, move):
+        return (self.programs[move % len(self.programs)],)
 
 
 def test_negative_zero_is_a_different_point(monkeypatch):
@@ -266,8 +267,8 @@ class _PerMember:
     def __init__(self, programs):
         self.programs = programs
 
-    def select(self, member, move):
-        return self.programs[member]
+    def select(self, move):
+        return self.programs
 
 
 def test_lookups_see_start_of_move_points_after_earlier_members_moved():
