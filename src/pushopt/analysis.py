@@ -135,19 +135,8 @@ class ReevalReport:
 
 
 def _column_ranks(values) -> list:
-    # Average midranks for ties.
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        midrank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = midrank
-        i = j + 1
-    return ranks
+    # 1-based ranks; tied values share the mean of the ranks they span.
+    return [sum(w < v for w in values) + (sum(w == v for w in values) + 1) / 2 for v in values]
 
 
 def _run_optimiser(shared, task) -> float:
@@ -195,14 +184,8 @@ def reevaluate(
     bests = iter(flat)
     per_run = tuple(tuple(tuple(islice(bests, runs)) for _ in functions) for _ in names)
     means = tuple(tuple(sum(bests) / runs for bests in row) for row in per_run)
-    rank_columns = [
-        _column_ranks([means[i][j] for i in range(len(names))])
-        for j in range(len(problem_ids))
-    ]
-    mean_ranks = tuple(
-        sum(rank_columns[j][i] for j in range(len(problem_ids))) / len(problem_ids)
-        for i in range(len(names))
-    )
+    rank_columns = [_column_ranks(column) for column in zip(*means)]
+    mean_ranks = tuple(sum(ranks) / len(problem_ids) for ranks in zip(*rank_columns))
     return ReevalReport(names, problem_ids, means, per_run, mean_ranks, runs)
 
 

@@ -270,10 +270,17 @@ def _repeat_and_write(runner, params: dict, out_dir: Path, result_files=()):
     config = _run_config(params, record)
     repeats = _count(params, "repeats")
     if record:
-        target = Path(params["trajectory"]).resolve()
+        path = Path(params["trajectory"])
+        target = path.resolve()
+        # The trajectory is written last: refuse a directory, or a file in a
+        # directory that neither exists nor is --out, before anything runs.
+        if target.is_dir() or target == out_dir.resolve():
+            raise CliError(f"trajectory {path} names a directory")
+        if not (path.parent.is_dir() or path.parent.resolve() == out_dir.resolve()):
+            raise CliError(f"trajectory {path}: {path.parent} is not a directory")
         for name in ("manifest.json", "results.csv", *result_files):
             if target == (out_dir / name).resolve():
-                raise CliError(f"trajectory {params['trajectory']} would overwrite the result file {name}")
+                raise CliError(f"trajectory {path} would overwrite the result file {name}")
     yield
     report = repeated_runs(runner, family, repeats, config)
     rows = [[r, format_value(result.pbest), result.evaluations_used, config.moves]
@@ -281,7 +288,6 @@ def _repeat_and_write(runner, params: dict, out_dir: Path, result_files=()):
     rows.append(["mean", format_value(report.mean), "", ""])
     write_csv(out_dir / "results.csv", ["repeat", "pbest", "evaluations", "moves"], rows)
     if record:
-        path = Path(params["trajectory"])
         write = write_trajectory_jsonl if str(path).endswith(".jsonl") else write_trajectory_csv
         write(path, list(enumerate(report.results)), run_id=params["seed"])
 
@@ -570,7 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_json_object(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        value = json.load(fh)
+        try:
+            value = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}: {exc}") from None
     if not isinstance(value, dict):
         raise CliError(f"{path} must hold a JSON object")
     return value
@@ -589,7 +598,7 @@ def main(argv=None) -> int:
                 given = {**_load_json_object(args.config), **given}
             execute(args.command_key, given, args.out)
         return 0
-    except (CliError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -139,11 +139,8 @@ def tournament_select(population, fitnesses, k: int, rng: np.random.Generator) -
     ties go to the first sampled."""
     if not population:
         raise ValueError("population is empty")
-    indices = rng.integers(len(population), size=k)
-    best = int(indices[0])
-    for i in indices[1:]:
-        if fitnesses[int(i)] < fitnesses[best]:
-            best = int(i)
+    # min keeps the first of equal keys.
+    best = min(rng.integers(len(population), size=k).tolist(), key=lambda i: fitnesses[i])
     return population[best]
 
 

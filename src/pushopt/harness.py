@@ -3,15 +3,18 @@
 One evolved program is run as a local or swarm optimiser: every swarm member
 holds a copy of the program and its own interpreter state, proposes one
 search point per move, and receives feedback (improvement boolean and new
-error) through its stacks. A member's random start point is answered as
-move 0, exactly like an improving in-bounds proposal: true and its error,
-one evaluation charged. Members see each other's current and best points
-as they were at the start of each move, through one ``SwarmContext`` per
-run that is brought up to date after every member has moved, and each move's
-programs are chosen before any member runs. Only the pbest index pushed to
-each member's integer stack depends on the order members execute: it is live,
-not snapshotted, so a member that improves on the swarm best changes the index
-the members after it receive in the same move.
+error) through its stacks. The swarm holds the problem it runs on. A move is
+select, prime, run, answer: the source selects the move's programs before any
+member runs, then each member in turn is primed (``_prime``), runs its
+program (``run_move``) and has its proposal answered (``_answer``). A
+member's random start point is answered as move 0, exactly like an improving
+in-bounds proposal: true and its error, one evaluation charged. Members see
+each other's current and best points as they were at the start of each move,
+through one ``SwarmContext`` per run that is brought up to date after every
+member has moved. Only the pbest index pushed to each member's integer stack
+depends on the order members execute: it is live, not snapshotted, so a
+member that improves on the swarm best changes the index the members after
+it receive in the same move.
 """
 
 from __future__ import annotations
@@ -91,13 +94,14 @@ class TrajectoryRow:
 
 
 class FixedSource:
-    """Program source for a homogeneous swarm: every member runs the same
-    program every move. A source is anything with ``select(move)``, which
-    the harness calls once at the start of each move, before any member
-    runs; it returns one program per member, in member order."""
+    """Program source that gives every move the same ``programs``, one per
+    member in member order: a homogeneous swarm's one program repeated, or a
+    hybrid ``per_member`` block. A source is anything with ``select(move)``,
+    which the harness calls once at the start of each move, before any
+    member runs; it returns one program per member, in member order."""
 
-    def __init__(self, program: Program, swarm_size: int):
-        self.programs = (program,) * swarm_size
+    def __init__(self, programs):
+        self.programs = tuple(programs)
 
     def select(self, move: int) -> tuple:
         return self.programs
@@ -105,8 +109,10 @@ class FixedSource:
 
 @dataclass
 class Swarm:
-    """The members of one run; the swarm best is ``members[pbestindex]``."""
+    """The members of one run on ``problem``; the swarm best is
+    ``members[pbestindex]``."""
 
+    problem: Problem
     members: list
     pbestindex: int
     evaluations_used: int
@@ -158,27 +164,26 @@ def init_swarm(source, problem: Problem, config: RunConfig) -> Swarm:
     here and in ``step_swarm``.
     """
     if isinstance(source, Program):
-        source = FixedSource(source, config.swarm_size)
+        source = FixedSource((source,) * config.swarm_size)
     lower, upper = problem.bounds
     init_rng = stream(config.seed, "init")
+    points = [init_rng.uniform(lower, upper, problem.dim) for _ in range(config.swarm_size)]
+    ctx = SwarmContext(points, list(points))
     members = []
-    swarm = Swarm(members=members, pbestindex=0, evaluations_used=0, source=source, context=None,
-                  trajectory=[] if config.record_trajectory else None)
-    for p in range(config.swarm_size):
+    swarm = Swarm(problem=problem, members=members, pbestindex=0, evaluations_used=0, source=source,
+                  context=ctx, trajectory=[] if config.record_trajectory else None)
+    for p, point in enumerate(points):
         state = InterpreterState(
             dim=problem.dim,
             rng=stream(config.seed, "member", p),
             inputs=(lower, upper),
             step_limit=config.execution_limit,
+            ctx=ctx,
         )
-        point = init_rng.uniform(lower, upper, problem.dim)
         state.vectors.append(point)
         member = SwarmMember(p, state, point, math.inf, point, math.inf, b"")
         members.append(member)
-        _answer(swarm, member, problem, 0, point, True)
-    swarm.context = SwarmContext([m.point for m in members], [m.best for m in members])
-    for member in members:
-        member.state.ctx = swarm.context
+        _answer(swarm, member, 0, point, True)
     return swarm
 
 
@@ -190,8 +195,7 @@ def _in_bounds(point: np.ndarray, lower: float, upper: float) -> bool:
     return True
 
 
-def _answer(swarm: Swarm, member: SwarmMember, problem: Problem, move: int,
-            proposal: np.ndarray, evaluable: bool) -> None:
+def _answer(swarm: Swarm, member: SwarmMember, move: int, proposal: np.ndarray, evaluable: bool) -> None:
     """Answer one proposal through the member's stacks, then update the
     bests and the trajectory. A tie with the swarm best keeps the earlier
     pbest index.
@@ -211,7 +215,7 @@ def _answer(swarm: Swarm, member: SwarmMember, problem: Problem, move: int,
         if key == member.evaluated:
             value = previous
         else:
-            value = _evaluate(problem, proposal)
+            value = _evaluate(swarm.problem, proposal)
             member.evaluated = key
         swarm.evaluations_used += 1
         if value < member.bestval:
@@ -237,32 +241,33 @@ def _answer(swarm: Swarm, member: SwarmMember, problem: Problem, move: int,
         swarm.trajectory.append(TrajectoryRow(move, member.index, proposal, recorded, evaluable, pbest))
 
 
-def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
+def _prime(swarm: Swarm, member: SwarmMember, move: int) -> None:
+    """Ready ``member`` to run its program in ``move``: the swarm context
+    resolves a negative index to it, and its integer stack receives the move
+    number, its own index and the current pbest index."""
+    swarm.context.self_index = member.index
+    member.state.integers.extend((move, member.index, swarm.pbestindex))
+
+
+def step_swarm(swarm: Swarm, move: int) -> Swarm:
     """Run one move (move numbers start at 1) for every member.
 
     The source's ``select(move)`` gives the move's programs, one per member,
     before any member runs; a count that is not the swarm size raises
-    ``ValueError``. The member's integer stack receives the move number,
-    its own index and the current pbest index; after execution the proposal
-    is read non-destructively from the top of the vector stack and answered
-    (see ``_answer``): in-bounds proposals are evaluated, consuming budget,
-    and out-of-bounds ones are not.
+    ``ValueError``. Each member is primed (``_prime``) and runs its program;
+    then the proposal is read non-destructively from the top of the vector
+    stack and answered (see ``_answer``): in-bounds proposals are evaluated,
+    consuming budget, and out-of-bounds ones are not.
 
     The caller enters ``instruction_errstate``, as ``run_with_source`` does
     once per run. Correctness, not only quiet, depends on it: vector
     instructions detect non-finite results through the errors it raises.
     """
-    lower, upper = problem.bounds
-    ctx = swarm.context
+    lower, upper = swarm.problem.bounds
     members = swarm.members
     for member, program in zip(members, swarm.source.select(move), strict=True):
-        index = member.index
-        ctx.self_index = index
+        _prime(swarm, member, move)
         state = member.state
-        integers = state.integers
-        integers.append(move)
-        integers.append(index)
-        integers.append(swarm.pbestindex)
         run_move(state, program)
         if state.vectors:
             proposal = state.vectors[-1]
@@ -274,14 +279,13 @@ def step_swarm(swarm: Swarm, problem: Problem, move: int) -> Swarm:
             state.vectors.append(member.point)
             proposal = member.point
             evaluable = False
-        _answer(swarm, member, problem, move, proposal, evaluable)
+        _answer(swarm, member, move, proposal, evaluable)
     # Later members of this move saw start-of-move points; the next move
     # sees where every member ended this one.
-    currents = ctx.currents
-    bests = ctx.bests
+    ctx = swarm.context
     for member in members:
-        currents[member.index] = member.point
-        bests[member.index] = member.best
+        ctx.currents[member.index] = member.point
+        ctx.bests[member.index] = member.best
     return swarm
 
 
@@ -289,7 +293,7 @@ def run_with_source(source, problem: Problem, config: RunConfig) -> RunResult:
     with instruction_errstate():
         swarm = init_swarm(source, problem, config)
         for move in range(1, config.moves + 1):
-            step_swarm(swarm, problem, move)
+            step_swarm(swarm, move)
     best = swarm.members[swarm.pbestindex]
     return RunResult(
         pbest=best.bestval,

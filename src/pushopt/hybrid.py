@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .harness import RunConfig, RunResult, run_with_source
+from .harness import FixedSource, RunConfig, RunResult, run_with_source
 from .problems import Problem
 from .push import Program, parse_program, print_program
 from .rng import stream
@@ -47,36 +47,34 @@ class PoolSource:
     never perturbs the point-sampling randomness of the underlying run; a
     pool of one therefore reproduces the homogeneous harness exactly.
 
-    ``select(move)`` returns the move's programs in member order: under
-    ``per_move`` a fresh block from one ``rng.integers(len(pool),
-    size=swarm_size)`` call, and under ``per_member`` the block drawn the
-    same way when the source is built, so each member keeps one program.
-    numpy fills a block with the same values as that many scalar draws and
-    leaves the stream where they would.
+    ``select(move)`` returns a fresh block of programs in member order, from
+    one ``rng.integers(len(pool), size=swarm_size)`` call. numpy fills a
+    block with the same values as that many scalar draws and leaves the
+    stream where they would.
     """
 
-    def __init__(self, pool: Pool, rng, swarm_size: int, mode: str = MODES[0]):
-        if mode not in MODES:
-            raise ValueError(f"unknown hybrid mode: {mode}")
+    def __init__(self, pool: Pool, rng, swarm_size: int):
         self.pool = pool
         self.rng = rng
         self.swarm_size = swarm_size
-        self.mode = mode
-        self.block = self._draw_block() if mode == "per_member" else None
 
-    def _draw_block(self) -> list:
+    def select(self, move: int) -> list:
         entries = self.pool.entries
         picks = self.rng.integers(len(entries), size=self.swarm_size)
         return [entries[i].program for i in picks.tolist()]
 
-    def select(self, move: int) -> list:
-        return self._draw_block() if self.mode == "per_move" else self.block
-
 
 def run_hybrid(pool: Pool, problem: Problem, config: RunConfig, mode: str = MODES[0]) -> RunResult:
     """Run a heterogeneous swarm over ``pool``; behaves exactly like the
-    homogeneous harness except for which program each member executes."""
-    source = PoolSource(pool, stream(config.seed, "select"), config.swarm_size, mode)
+    homogeneous harness except for which program each member executes.
+    ``per_move`` draws a block every move; ``per_member`` draws one block
+    before the run and runs it as a ``FixedSource``, so each member keeps
+    one program."""
+    if mode not in MODES:
+        raise ValueError(f"unknown hybrid mode: {mode}")
+    source = PoolSource(pool, stream(config.seed, "select"), config.swarm_size)
+    if mode == "per_member":
+        source = FixedSource(source.select(0))
     return run_with_source(source, problem, config)
 
 
@@ -118,6 +116,14 @@ def _fitness(value, where: str) -> float:
     return float(value)
 
 
+def _parse(text: str, where: str):
+    """``text`` as JSON; a ValueError that names ``where`` if it is not."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def write_checkpoint(path, population, fitnesses) -> None:
     """Write a JSONL checkpoint: one ``{"fitness", "program"}`` object per
     program, in population order."""
@@ -136,7 +142,7 @@ def read_checkpoint(path) -> list:
                 continue
             source = f"{path}:{line_no + 1}"
             where = f"checkpoint line {source}"
-            record = _record(json.loads(line), where, ("program", "fitness"))
+            record = _record(_parse(line, where), where, ("program", "fitness"))
             entries.append(
                 PoolEntry(
                     program=_program(record, where),
@@ -180,7 +186,7 @@ def write_pool_manifest(pool: Pool, path) -> None:
 
 def load_pool_manifest(path) -> Pool:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = _parse(fh.read(), f"pool manifest {path}")
     records = _record(payload, f"pool manifest {path}", ("programs",))["programs"]
     if not isinstance(records, list):
         raise ValueError(f'pool manifest {path}: "programs" is not a JSON list')

@@ -22,14 +22,10 @@ class SwarmContext:
     bests: list
     self_index: int = 0
 
-    @property
-    def size(self) -> int:
-        return len(self.currents)
-
     def resolve(self, index) -> int:
         if index is None or index < 0:
             return self.self_index
-        return int(index) % self.size
+        return int(index) % len(self.currents)
 
 
 @dataclass(slots=True)

@@ -238,28 +238,28 @@ def test_criterion_4_feedback_contract():
 
     value0 = member.value
     with instruction_errstate():
-        step_swarm(swarm, problem, 1)
+        step_swarm(swarm, 1)
     assert state.booleans[-1] is True  # improving move: true
     assert state.floats[-1] == value0 - 0.25  # ... plus the new error
     assert swarm.evaluations_used == 2
 
-    swarm.source = FixedSource(Program(()), config.swarm_size)
+    swarm.source = FixedSource((Program(()),) * config.swarm_size)
     value1 = member.value
     best_before = member.best
     vector_depth = len(state.vectors)
     with instruction_errstate():
-        step_swarm(swarm, problem, 2)
+        step_swarm(swarm, 2)
     assert state.booleans[-1] is False  # non-improving: false
     assert state.floats[-1] == value1  # ... plus the new error
     assert len(state.vectors) == vector_depth + 1  # ... plus the best point
     assert state.vectors[-1] is best_before
     assert swarm.evaluations_used == 3
 
-    swarm.source = FixedSource(parse_program("(1000.0 0 vector.dim+)"), config.swarm_size)
+    swarm.source = FixedSource((parse_program("(1000.0 0 vector.dim+)"),) * config.swarm_size)
     value2 = member.value
     bestval2 = member.bestval
     with instruction_errstate():
-        step_swarm(swarm, problem, 3)
+        step_swarm(swarm, 3)
     assert state.booleans[-1] is False  # out of bounds: false
     assert state.floats[-1] == INFEASIBLE  # ... plus the infeasible marker
     assert swarm.evaluations_used == 3  # no evaluation consumed

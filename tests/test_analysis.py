@@ -1,8 +1,11 @@
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from pushopt.analysis import (
+    _column_ranks,
     dynamic_instruction_usage,
     instruction_usage,
     reevaluate,
@@ -194,6 +197,26 @@ def test_reevaluate_tie_ranks_are_midranks():
         runs=3,
     )
     assert report.mean_ranks == (1.5, 1.5)
+
+
+def _reference_column_ranks(values):
+    # The sort-and-scan midranks that _column_ranks replaced.
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@given(hst.lists(hst.sampled_from([0.0, -0.0, 0.5, 1.0, 1e300, 3.25]), min_size=1, max_size=9))
+def test_column_ranks_match_the_sort_and_scan_reference(values):
+    assert _column_ranks(values) == _reference_column_ranks(values)
 
 
 def test_reevaluate_accepts_pools():

@@ -935,6 +935,11 @@ def _run_on_descriptor(tmp_path, raw):
     return ["run", "--program", ORIGIN, "--problem", write_json(tmp_path / "problem.json", raw)]
 
 
+def _not_json(path):
+    path.write_text("x\n")
+    return path
+
+
 def _evolve_with(tmp_path, **config):
     return ["evolve", "--config", write_json(tmp_path / "config.json", {"function": "F1", "D": 2, **config})]
 
@@ -1051,6 +1056,28 @@ BAD_INPUTS = {
     "run-problem-seed-neg": (
         lambda d: ["run", "--program", ORIGIN, "--function", "F1", "--problem-seed", "-1"],
         "function seed must be >= 0"),
+    "run-trajectory-missing-dir": (
+        lambda d: ["run", "--program", ORIGIN, "--function", "F1", "--trajectory", str(d / "missing" / "t.csv")],
+        "missing is not a directory"),
+    "run-trajectory-is-dir": (
+        lambda d: ["run", "--program", ORIGIN, "--function", "F1", "--trajectory", str(d)],
+        "names a directory"),
+    "hybrid-trajectory-missing-dir": (
+        lambda d: ["hybrid", "--dir", str(_write_checkpoints(d)), "--function", "F1",
+                   "--trajectory", str(d / "missing" / "t.csv")],
+        "missing is not a directory"),
+    "evolve-config-not-json": (
+        lambda d: ["evolve", "--config", str(_not_json(d / "config.json"))],
+        "config.json: Expecting value: line 1 column 1"),
+    "run-descriptor-not-json": (
+        lambda d: ["run", "--program", ORIGIN, "--problem", str(_not_json(d / "problem.json"))],
+        "problem.json: Expecting value: line 1 column 1"),
+    "hybrid-pool-not-json": (
+        lambda d: ["hybrid", "--pool", str(_not_json(d / "pool.json")), "--function", "F1"],
+        "pool.json: Expecting value: line 1 column 1"),
+    "usage-checkpoint-not-json": (
+        lambda d: _usage_over(_write_checkpoints(d), _not_json(d / "gen_0000.jsonl")),
+        "gen_0000.jsonl:1: Expecting value: line 1 column 1"),
 }
 
 
@@ -1179,6 +1206,14 @@ def test_value_of_wrong_type_fails_before_out_is_made(tmp_path, capsys, via, com
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: {key} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_replayed_manifest_that_is_not_json_fails_before_out_is_made(tmp_path, capsys):
+    manifest = _not_json(tmp_path / "manifest.json")
+    out = tmp_path / "out"
+    assert run_cli("replay", "--manifest", str(manifest), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: Expecting value: line 1 column 1 (char 0)\n"
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
+from pushopt import harness
 from pushopt.harness import (
     INFEASIBLE,
     FixedSource,
@@ -140,7 +141,7 @@ def test_in_bounds_matches_min_max(bounds, point):
 def test_constant_optimum_program_reaches_zero_in_one_move():
     problem = stub_problem("STUB-SPHERE0")
     swarm = init_swarm(ORIGIN_PROGRAM, problem, RunConfig(swarm_size=1, moves=1, seed=1))
-    step_swarm(swarm, problem, 1)
+    step_swarm(swarm, 1)
     assert pbest(swarm) == 0.0
 
 
@@ -149,7 +150,7 @@ def test_empty_program_reproposes_previous_point():
     swarm = init_swarm(Program(()), problem, RunConfig(swarm_size=2, moves=3, seed=4))
     before = [m.point.copy() for m in swarm.members]
     bestvals = [m.bestval for m in swarm.members]
-    step_swarm(swarm, problem, 1)
+    step_swarm(swarm, 1)
     for member, point, bestval in zip(swarm.members, before, bestvals):
         assert member.point.tolist() == point.tolist()
         assert member.bestval == bestval  # re-evaluating cannot worsen
@@ -161,7 +162,7 @@ def test_out_of_bounds_feedback_and_budget():
     problem = stub_problem("STUB-X0")
     config = RunConfig(swarm_size=1, moves=1, seed=6)
     swarm = init_swarm(ESCAPE_PROGRAM, problem, config)
-    step_swarm(swarm, problem, 1)
+    step_swarm(swarm, 1)
     member = swarm.members[0]
     assert swarm.evaluations_used == 1  # no evaluation consumed by the move
     assert member.state.booleans[-1] is False
@@ -172,7 +173,7 @@ def test_out_of_bounds_feedback_and_budget():
 def test_move_pushes_move_member_and_pbest_indices():
     problem = stub_problem("STUB-7")
     swarm = init_swarm(Program(()), problem, RunConfig(swarm_size=3, moves=2, seed=9))
-    step_swarm(swarm, problem, 1)
+    step_swarm(swarm, 1)
     for member in swarm.members:
         ints = member.state.integers
         # empty program: the three pushed indices are still there
@@ -186,7 +187,7 @@ def test_snapshot_coordination_is_order_independent():
     program = parse_program("(0 vector.current)")
     swarm = init_swarm(program, problem, RunConfig(swarm_size=2, moves=1, seed=12))
     member0_before = swarm.members[0].point.copy()
-    step_swarm(swarm, problem, 1)
+    step_swarm(swarm, 1)
     assert swarm.members[1].point.tolist() == member0_before.tolist()
 
 
@@ -195,7 +196,7 @@ def test_pbest_tracks_best_across_members():
     config = RunConfig(swarm_size=4, moves=5, seed=20)
     swarm = init_swarm(ORIGIN_PROGRAM, problem, config)
     for move in range(1, 6):
-        step_swarm(swarm, problem, move)
+        step_swarm(swarm, move)
     # origin has error 1.0 under STUB-X0 (x0 - lower = 0 - (-1))
     assert pbest(swarm) == min(1.0, pbest(swarm))
     replay = min(m.bestval for m in swarm.members)
@@ -222,10 +223,43 @@ def test_select_is_called_once_per_move_before_any_member_runs():
     swarm = init_swarm(ORIGIN_PROGRAM, problem, config)
     source = swarm.source = _RecordingSource(ORIGIN_PROGRAM, config.swarm_size, swarm)
     for move in range(1, config.moves + 1):
-        step_swarm(swarm, problem, move)
+        step_swarm(swarm, move)
     # At each call, only whole moves have been answered: move 0 and the
     # moves before this one.
     assert source.calls == [(move, config.swarm_size * move) for move in range(1, config.moves + 1)]
+
+
+def test_prime_runs_once_per_member_just_before_its_run_move(monkeypatch):
+    problem = stub_problem("STUB-X0")
+    config = RunConfig(swarm_size=3, moves=4, seed=5)
+    swarm = init_swarm(ORIGIN_PROGRAM, problem, config)
+    members = {id(m.state): m.index for m in swarm.members}
+    calls = []
+    prime, run_move = harness._prime, harness.run_move
+
+    def recording_prime(swarm_, member, move):
+        calls.append(("prime", member.index, move))
+        prime(swarm_, member, move)
+
+    def recording_run_move(state, program):
+        index = members[id(state)]
+        # The member is primed: the context resolves to it and its integer
+        # stack ends with the move, its index and the pbest index.
+        assert swarm.context.self_index == index
+        assert state.integers[-3:-1] == [calls[-1][2], index]
+        calls.append(("run", index, calls[-1][2]))
+        return run_move(state, program)
+
+    monkeypatch.setattr(harness, "_prime", recording_prime)
+    monkeypatch.setattr(harness, "run_move", recording_run_move)
+    for move in range(1, config.moves + 1):
+        step_swarm(swarm, move)
+    assert calls == [
+        (kind, index, move)
+        for move in range(1, config.moves + 1)
+        for index in range(config.swarm_size)
+        for kind in ("prime", "run")
+    ]
 
 
 @pytest.mark.parametrize("count", [2, 4])
@@ -235,7 +269,7 @@ def test_wrong_number_of_programs_is_an_error(count):
     swarm = init_swarm(ORIGIN_PROGRAM, problem, config)
     swarm.source = _RecordingSource(ORIGIN_PROGRAM, count, swarm)
     with pytest.raises(ValueError):
-        step_swarm(swarm, problem, 1)
+        step_swarm(swarm, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +296,7 @@ def test_feedback_contract_improving_nonimproving_outofbounds():
     # Move 1: improving. Exactly one boolean and one float pushed; the
     # literals -0.25 and 0 were consumed by dim+, and dim+ replaced the
     # vector top, so the vector depth is unchanged.
-    step_swarm(swarm, problem, 1)
+    step_swarm(swarm, 1)
     assert state.booleans[depth_b:] == [True]
     assert state.floats[depth_f:] == [pytest.approx(value0 - 0.25)]
     assert len(state.vectors) == depth_v
@@ -271,9 +305,9 @@ def test_feedback_contract_improving_nonimproving_outofbounds():
 
     # Force a non-improving in-bounds move: freeze the proposal by running
     # an empty program (re-evaluates the same point; equal is not better).
-    swarm.source = FixedSource(Program(()), config.swarm_size)
+    swarm.source = FixedSource((Program(()),) * config.swarm_size)
     value1 = member.value
-    step_swarm(swarm, problem, 2)
+    step_swarm(swarm, 2)
     assert state.booleans[-1] is False
     assert state.floats[-1] == pytest.approx(value1)
     # best point re-pushed on top of the proposal
@@ -281,10 +315,10 @@ def test_feedback_contract_improving_nonimproving_outofbounds():
     assert swarm.evaluations_used == 3
 
     # Out of bounds: false + infeasible marker, no evaluation consumed.
-    swarm.source = FixedSource(ESCAPE_PROGRAM, config.swarm_size)
+    swarm.source = FixedSource((ESCAPE_PROGRAM,) * config.swarm_size)
     evals = swarm.evaluations_used
     value_before = member.value
-    step_swarm(swarm, problem, 3)
+    step_swarm(swarm, 3)
     assert state.booleans[-1] is False
     assert state.floats[-1] == INFEASIBLE
     assert swarm.evaluations_used == evals
@@ -301,7 +335,7 @@ def test_feedback_shapes_per_move():
     for move in range(1, 5):
         depths_b = [len(m.state.booleans) for m in swarm.members]
         depths_f = [len(m.state.floats) for m in swarm.members]
-        step_swarm(swarm, problem, move)
+        step_swarm(swarm, move)
         for m, db, df in zip(swarm.members, depths_b, depths_f):
             assert len(m.state.booleans) == db + 1
             assert len(m.state.floats) == df + 1

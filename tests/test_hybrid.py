@@ -4,7 +4,7 @@ import math
 import pytest
 
 from pushopt import hybrid
-from pushopt.harness import RunConfig, run_optimisation, run_with_source
+from pushopt.harness import FixedSource, RunConfig, run_optimisation, run_with_source
 from pushopt.hybrid import (
     Pool,
     PoolEntry,
@@ -68,18 +68,32 @@ def test_selection_frequency_is_uniform():
         assert 0.18 <= counts[program] / 10_003 <= 0.22
 
 
-def test_per_member_mode_assigns_persistent_programs():
+def test_per_member_mode_assigns_persistent_programs(monkeypatch):
+    # run_hybrid draws one block before the run and hands it to the harness
+    # as a FixedSource, which gives it back every move.
+    sources = []
+
+    def recording_run(source, problem, config):
+        sources.append(source)
+        return run_with_source(source, problem, config)
+
+    monkeypatch.setattr(hybrid, "run_with_source", recording_run)
     pool = five_pool()
-    source = PoolSource(pool, stream(6, "sel"), 4, mode="per_member")
+    config = RunConfig(swarm_size=4, moves=20, seed=6)
+    run_hybrid(pool, Problem.plain(make_function("F1", 2, 0)), config, mode="per_member")
+    (source,) = sources
+    assert isinstance(source, FixedSource)
     first = source.select(1)
     assert len(first) == 4
+    assert first == tuple(PoolSource(pool, stream(6, "select"), 4).select(0))
     for move in range(2, 21):
         assert source.select(move) == first
 
 
 def test_bad_mode_rejected():
-    with pytest.raises(ValueError):
-        PoolSource(five_pool(), stream(0, "x"), 1, mode="sometimes")
+    problem = Problem.plain(make_function("F1", 2, 0))
+    with pytest.raises(ValueError, match="unknown hybrid mode: sometimes"):
+        run_hybrid(five_pool(), problem, RunConfig(moves=1), mode="sometimes")
 
 
 def test_stack_state_persists_across_program_switches():
@@ -98,7 +112,7 @@ def test_stack_state_persists_across_program_switches():
     swarm = init_swarm(PS(pool, stream(config.seed, "select"), config.swarm_size), problem, config)
     with instruction_errstate():
         for move in range(1, 13):
-            step_swarm(swarm, problem, move)
+            step_swarm(swarm, move)
     # per move: three harness indices + one program literal, all unconsumed
     assert len(swarm.members[0].state.integers) == 12 * 4
 

@@ -40,9 +40,10 @@ from conftest import EVOLVED_OPTIMISERS
 FUNCTION_IDS = ("F1", "F9", "F12", "F13", "F14")
 
 
-def _reference_step_swarm(swarm, problem, move):
+def _reference_step_swarm(swarm, move):
     # The step before value reuse and the per-run context: a fresh context
     # per move, and the objective called for every in-bounds proposal.
+    problem = swarm.problem
     lower, upper = problem.bounds
     ctx = SwarmContext([m.point for m in swarm.members], [m.best for m in swarm.members])
     programs = swarm.source.select(move)

@@ -108,3 +108,43 @@ def test_worker_pool_returns_results_in_task_order(jobs):
         assert run(list(range(13))) == [10 * t for t in range(13)]
         assert run([5]) == [50]
 
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    the initializer and tasks in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize):
+        return map(fn, tasks)
+
+
+def test_worker_pool_starts_no_more_workers_than_cpus(monkeypatch):
+    import concurrent.futures
+
+    from pushopt import parallel
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    # The stand-in installs the work in this process; undo that afterwards.
+    monkeypatch.setattr(parallel, "_installed", None)
+    monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with worker_pool(_scaled, 10, 10**6) as run:
+        assert run([1, 2]) == [10, 20]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    with worker_pool(_scaled, 10, 10**6) as run:
+        assert run([4]) == [40]
+    with worker_pool(_scaled, 10, 2) as run:
+        assert run([4]) == [40]
+    assert _RecordingExecutor.max_workers == [3, 1, 1]
