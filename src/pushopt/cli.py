@@ -578,7 +578,7 @@ def _load_json_object(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             value = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CliError(f"{path}: {exc}") from None
     if not isinstance(value, dict):
         raise CliError(f"{path} must hold a JSON object")

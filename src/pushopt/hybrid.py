@@ -124,6 +124,16 @@ def _parse(text: str, where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _read(path, where: str) -> str:
+    """The text of ``path``; a ValueError that names ``where`` if it is not
+    UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+
+
 def write_checkpoint(path, population, fitnesses) -> None:
     """Write a JSONL checkpoint: one ``{"fitness", "program"}`` object per
     program, in population order."""
@@ -135,21 +145,21 @@ def write_checkpoint(path, population, fitnesses) -> None:
 def read_checkpoint(path) -> list:
     """Read (fitness, program text) entries from a JSONL checkpoint file."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            source = f"{path}:{line_no + 1}"
-            where = f"checkpoint line {source}"
-            record = _record(_parse(line, where), where, ("program", "fitness"))
-            entries.append(
-                PoolEntry(
-                    program=_program(record, where),
-                    fitness=_fitness(record["fitness"], where),
-                    source=source,
-                )
+    # Text mode reads every line ending as "\n".
+    for line_no, line in enumerate(_read(path, f"checkpoint {path}").split("\n")):
+        line = line.strip()
+        if not line:
+            continue
+        source = f"{path}:{line_no + 1}"
+        where = f"checkpoint line {source}"
+        record = _record(_parse(line, where), where, ("program", "fitness"))
+        entries.append(
+            PoolEntry(
+                program=_program(record, where),
+                fitness=_fitness(record["fitness"], where),
+                source=source,
             )
+        )
     return entries
 
 
@@ -185,14 +195,13 @@ def write_pool_manifest(pool: Pool, path) -> None:
 
 
 def load_pool_manifest(path) -> Pool:
-    with open(path, encoding="utf-8") as fh:
-        payload = _parse(fh.read(), f"pool manifest {path}")
-    records = _record(payload, f"pool manifest {path}", ("programs",))["programs"]
+    manifest = f"pool manifest {path}"
+    records = _record(_parse(_read(path, manifest), manifest), manifest, ("programs",))["programs"]
     if not isinstance(records, list):
-        raise ValueError(f'pool manifest {path}: "programs" is not a JSON list')
+        raise ValueError(f'{manifest}: "programs" is not a JSON list')
     entries = []
     for i, record in enumerate(records):
-        where = f"pool manifest {path} entry {i}"
+        where = f"{manifest} entry {i}"
         record = _record(record, where, ("program",))
         source = record.get("source", f"{path}:{i}")
         if not isinstance(source, str):

@@ -180,8 +180,6 @@ def run_move(state: InterpreterState, program) -> InterpreterState:
     ran = len(plan)
     state.steps_used = ran
     if ran < len(items):
-        # The cached tail follows a whole plan; a plan the limit cut short
-        # leaves more items, which the loop then does not run.
-        state.exec.extend(program.tail if ran == len(program.plan) else reversed(items[ran:]))
+        state.exec.extend(reversed(items[ran:]))
         _run_exec(state)
     return state

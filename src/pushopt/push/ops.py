@@ -129,10 +129,10 @@ def _make_stackdepth(attr):
     return op
 
 
-def _make_yank(attr, duplicate):
-    # Pops an index from the integer stack, then moves (or copies) the item
-    # that deep from the top of the target stack to the top. The index is
-    # clamped into range.
+def _make_depth(attr, shove=False, duplicate=False):
+    # Pops an index from the integer stack, clamped to the target stack's
+    # depths after the pop (``integer.*`` indexes the rest); yank moves the
+    # item that deep to the top, yankdup copies it, shove moves the top there.
     def op(state):
         ints = state.integers
         stack = getattr(state, attr)
@@ -145,33 +145,12 @@ def _make_yank(attr, duplicate):
             index = 0
         elif index > top:
             index = top
-        pos = top - index
-        if duplicate:
-            stack.append(stack[pos])
+        if shove:
+            stack.insert(top - index, stack.pop())
+        elif duplicate:
+            stack.append(stack[top - index])
         else:
-            stack.append(stack.pop(pos))
-        return True
-
-    return op
-
-
-def _make_shove(attr):
-    # Pops an index from the integer stack, then moves the top item of the
-    # target stack so that it sits that deep from the top (clamped).
-    def op(state):
-        ints = state.integers
-        stack = getattr(state, attr)
-        need = 2 if stack is ints else 1
-        if not ints or len(stack) < need:
-            return False
-        index = ints.pop()
-        top = len(stack) - 1
-        if index < 0:
-            index = 0
-        elif index > top:
-            index = top
-        item = stack.pop()
-        stack.insert(top - index, item)
+            stack.append(stack.pop(top - index))
         return True
 
     return op
@@ -185,9 +164,9 @@ for _name, _attr in _STACK_ATTRS.items():
     instruction(f"{_name}.swap", _touches)(_make_swap(_attr))
     instruction(f"{_name}.rot", _touches)(_make_rot(_attr))
     instruction(f"{_name}.stackdepth", _touches)(_make_stackdepth(_attr))
-    instruction(f"{_name}.yank", _touches)(_make_yank(_attr, duplicate=False))
-    instruction(f"{_name}.yankdup", _touches)(_make_yank(_attr, duplicate=True))
-    instruction(f"{_name}.shove", _touches)(_make_shove(_attr))
+    instruction(f"{_name}.yank", _touches)(_make_depth(_attr))
+    instruction(f"{_name}.yankdup", _touches)(_make_depth(_attr, duplicate=True))
+    instruction(f"{_name}.shove", _touches)(_make_depth(_attr, shove=True))
 
 
 @instruction("boolean.rand")
@@ -517,23 +496,25 @@ def _exec_do_range(state):
     return True
 
 
-@instruction("exec.do*count", touches_exec=True)
-def _exec_do_count(state):
-    ints = state.integers
-    if not ints or not state.exec or ints[-1] <= 0:
-        return False
-    state.exec.append((0, ints.pop() - 1, "exec.do*range", state.exec.pop()))
-    return True
+def _exec_do_n(name, hide_index):
+    # Runs the next exec item n times (n popped, positive) as do*range from
+    # 0 to n - 1; with ``hide_index`` the body first pops do*range's index.
+    @instruction(name, touches_exec=True)
+    def op(state):
+        ints = state.integers
+        if not ints or not state.exec or ints[-1] <= 0:
+            return False
+        body = state.exec.pop()
+        if hide_index:
+            body = ("integer.pop", body)
+        state.exec.append((0, ints.pop() - 1, "exec.do*range", body))
+        return True
+
+    return op
 
 
-@instruction("exec.do*times", touches_exec=True)
-def _exec_do_times(state):
-    ints = state.integers
-    if not ints or not state.exec or ints[-1] <= 0:
-        return False
-    hidden = ("integer.pop", state.exec.pop())
-    state.exec.append((0, ints.pop() - 1, "exec.do*range", hidden))
-    return True
+_exec_do_n("exec.do*count", hide_index=False)
+_exec_do_n("exec.do*times", hide_index=True)
 
 
 # ---------------------------------------------------------------------------
@@ -629,42 +610,36 @@ def _vector_scale(state):
     return True
 
 
-@instruction("vector.dprod")
-def _vector_dprod(state):
-    vs = state.vectors
-    if len(vs) < 2:
-        return False
-    # Not every numpy release sets the flags in dot, so the scalar is
-    # checked as well. For length-1 vectors dot returns the lone product,
-    # which may be -0.0 where matmul's sum from 0.0 gives 0.0; adding 0.0
-    # gives matmul's bits.
-    try:
-        r = float(vs[-2].dot(vs[-1])) + 0.0
-    except FloatingPointError:
-        return False
-    if not math.isfinite(r):
-        return False
-    vs.pop()
-    vs.pop()
-    state.floats.append(r)
-    return True
+def _vector_dot(name, arity):
+    # dprod: the dot product of the two top vectors; mag: the top one's length.
+    # Not every numpy release sets the flags in dot, so the scalar, which is
+    # finite exactly when the result is, is checked as well. For length-1
+    # vectors dot returns the lone product, which may be -0.0 where matmul's
+    # sum from 0.0 gives 0.0; adding 0.0 gives matmul's bits.
+    @instruction(name)
+    def op(state):
+        vs = state.vectors
+        if len(vs) < arity:
+            return False
+        try:
+            d = vs[-arity].dot(vs[-1])
+        except FloatingPointError:
+            return False
+        if not math.isfinite(d):
+            return False
+        vs.pop()
+        if arity == 1:
+            state.floats.append(math.sqrt(d))
+        else:
+            vs.pop()
+            state.floats.append(float(d) + 0.0)
+        return True
+
+    return op
 
 
-@instruction("vector.mag")
-def _vector_mag(state):
-    vs = state.vectors
-    if not vs:
-        return False
-    v = vs[-1]
-    try:
-        r = math.sqrt(v.dot(v))
-    except FloatingPointError:
-        return False
-    if not math.isfinite(r):
-        return False
-    vs.pop()
-    state.floats.append(r)
-    return True
+_vector_dot("vector.dprod", 2)
+_vector_dot("vector.mag", 1)
 
 
 def _vector_dim(name, fn):

@@ -63,7 +63,7 @@ class Program:
 
     def __reduce__(self):
         # The cached plan holds instruction closures, which do not pickle;
-        # a copy resolves its own plan and tail.
+        # a copy resolves its own plan.
         return (Program, (self.items,))
 
     @cached_property
@@ -71,12 +71,6 @@ class Program:
         """The straight-line prefix ``run_move`` runs without the exec
         stack (see ``interpreter.resolve_plan``); resolved on first use."""
         return resolve_plan(self.items)
-
-    @cached_property
-    def tail(self) -> tuple:
-        """The items after the plan, reversed: what ``run_move`` loads onto
-        the exec stack when the whole plan ran."""
-        return self.items[len(self.plan) :][::-1]
 
 
 def format_item(item) -> str:
@@ -141,7 +135,10 @@ def parse_program(text: str) -> Program:
 
 def load_program(path) -> Program:
     with open(path, encoding="utf-8") as fh:
-        return parse_program(fh.read())
+        try:
+            return parse_program(fh.read())
+        except ValueError as exc:
+            raise ProgramError(f"{path}: {exc}") from None
 
 
 def save_program(program: Program, path) -> None:

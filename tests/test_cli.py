@@ -940,6 +940,18 @@ def _not_json(path):
     return path
 
 
+def _not_utf8(path):
+    path.write_bytes(b"\xff\n")
+    return path
+
+
+def _two_programs(tmp_path):
+    # A good program file, then one that does not parse.
+    (tmp_path / "good.txt").write_text(ORIGIN + "\n")
+    (tmp_path / "bad.txt").write_text("(0.0 vector.wrand\n")
+    return [str(tmp_path / "good.txt"), str(tmp_path / "bad.txt")]
+
+
 def _evolve_with(tmp_path, **config):
     return ["evolve", "--config", write_json(tmp_path / "config.json", {"function": "F1", "D": 2, **config})]
 
@@ -1078,6 +1090,24 @@ BAD_INPUTS = {
     "usage-checkpoint-not-json": (
         lambda d: _usage_over(_write_checkpoints(d), _not_json(d / "gen_0000.jsonl")),
         "gen_0000.jsonl:1: Expecting value: line 1 column 1"),
+    "evolve-config-not-utf8": (
+        lambda d: ["evolve", "--config", str(_not_utf8(d / "config.json"))],
+        "config.json: 'utf-8' codec can't decode byte 0xff"),
+    "run-descriptor-not-utf8": (
+        lambda d: ["run", "--program", ORIGIN, "--problem", str(_not_utf8(d / "problem.json"))],
+        "problem.json: 'utf-8' codec can't decode byte 0xff"),
+    "hybrid-pool-not-utf8": (
+        lambda d: ["hybrid", "--pool", str(_not_utf8(d / "pool.json")), "--function", "F1"],
+        "pool.json: 'utf-8' codec can't decode byte 0xff"),
+    "usage-checkpoint-not-utf8": (
+        lambda d: _usage_over(_write_checkpoints(d), _not_utf8(d / "gen_0000.jsonl")),
+        "gen_0000.jsonl: 'utf-8' codec can't decode byte 0xff"),
+    "run-program-not-utf8": (
+        lambda d: ["run", "--program", str(_not_utf8(d / "program.txt")), "--function", "F1"],
+        "program.txt: 'utf-8' codec can't decode byte 0xff"),
+    "reevaluate-second-program-unparsed": (
+        lambda d: ["analyze", "reevaluate", "--programs", *_two_programs(d), "--functions", "F1"],
+        "bad.txt: unbalanced parentheses: missing ')'"),
 }
 
 

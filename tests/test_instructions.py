@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import sys
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from pushopt.harness import INFEASIBLE
 from pushopt.push import (
+    DEFAULT_INSTRUCTION_SET,
     INT_LIMIT,
     REGISTRY,
     InterpreterState,
@@ -32,6 +34,16 @@ def apply(name, state):
 # ---------------------------------------------------------------------------
 # Generic stack ops
 # ---------------------------------------------------------------------------
+
+
+def test_default_instruction_set_order_is_pinned():
+    # Random genomes index into this order, so changing it changes what
+    # every seed evolves; the golden digests see that only on a host whose
+    # signature they record.
+    names = DEFAULT_INSTRUCTION_SET.names
+    assert len(names) == 121
+    digest = hashlib.sha256(" ".join(names).encode()).hexdigest()
+    assert digest == "cb5ecc4154bc64ab6f724f4dedf12b03c9ecb78bcca1b80544629979957061dc"
 
 
 def test_dup_swap_rot():
